@@ -9,14 +9,16 @@
 //! **reduces exactly** to the paper's two-price subgame at the effective
 //! pair `(P_e, min_k P_c^k)` — see [`PriceVector::effective`].
 //!
-//! # K = 2 bitwise-compatibility contract
+//! # One representation
 //!
-//! At `K = 2` the minimum over one cloud price is the identity, demand
+//! The leader layer ([`crate::sp::stage`], [`crate::stackelberg`],
+//! [`crate::algorithms`]) prices [`PriceVector`]s only; the paper's market
+//! is `K = 2`. [`Prices`] is the reduced pair the follower stage consumes:
+//! at `K = 2` the minimum over one cloud price is the identity, demand
 //! allocation hands the whole cloud aggregate to the single cloud provider,
-//! and per-provider profit is the same arithmetic as [`crate::sp::profits`].
-//! Every generalized entry point therefore returns **bit-for-bit** what the
-//! legacy `Prices` path returns; the legacy API is a thin K=2 view. The
-//! root `solver_core`/`parallel_determinism` suites assert this bitwise.
+//! and per-provider profit is the same arithmetic as [`crate::sp::profits`],
+//! so every `K = 2` answer is the paper's two-provider answer, bit for bit
+//! (pinned by the root `leader_golden` and `solver_core` suites).
 //!
 //! # Storage
 //!
@@ -49,26 +51,30 @@ pub const INLINE_PROVIDERS: usize = 4;
 ///
 /// Returns [`MiningGameError::InvalidParameter`] on violation.
 pub fn validate_price_vector(prices: &[f64]) -> Result<(), MiningGameError> {
-    if prices.is_empty() {
-        return Err(MiningGameError::invalid("provider price vector must not be empty"));
-    }
-    if prices.len() < 2 {
-        return Err(MiningGameError::invalid(
-            "provider price vector needs at least two entries (one edge + one cloud provider)",
-        ));
-    }
-    if prices.len() > MAX_PROVIDERS {
-        return Err(MiningGameError::invalid(format!(
-            "provider price vector has {} entries; at most {MAX_PROVIDERS} providers are supported",
-            prices.len()
-        )));
-    }
+    validate_provider_count(prices.len())?;
     for (i, &p) in prices.iter().enumerate() {
         if !(p.is_finite() && p > 0.0) {
             return Err(MiningGameError::invalid(format!(
                 "provider price [{i}] = {p} must be finite and > 0"
             )));
         }
+    }
+    Ok(())
+}
+
+fn validate_provider_count(k: usize) -> Result<(), MiningGameError> {
+    if k == 0 {
+        return Err(MiningGameError::invalid("provider price vector must not be empty"));
+    }
+    if k < 2 {
+        return Err(MiningGameError::invalid(
+            "provider price vector needs at least two entries (one edge + one cloud provider)",
+        ));
+    }
+    if k > MAX_PROVIDERS {
+        return Err(MiningGameError::invalid(format!(
+            "provider price vector has {k} entries; at most {MAX_PROVIDERS} providers are supported"
+        )));
     }
     Ok(())
 }
@@ -97,18 +103,45 @@ impl PriceVector {
     /// Returns [`MiningGameError::InvalidParameter`] per
     /// [`validate_price_vector`].
     pub fn new(prices: &[f64]) -> Result<Self, MiningGameError> {
-        validate_price_vector(prices)?;
-        let mut inline = [0.0; INLINE_PROVIDERS];
-        let mut spill = Vec::new();
-        if prices.len() <= INLINE_PROVIDERS {
-            inline[..prices.len()].copy_from_slice(prices);
-        } else {
-            spill = prices.to_vec();
-        }
-        Ok(PriceVector { len: prices.len(), inline, spill })
+        PriceVector::from_fn(prices.len(), |i| prices[i])
     }
 
-    /// The K=2 view of a legacy price pair.
+    /// Creates the validated vector `[price(0), …, price(k − 1)]` in place,
+    /// with no heap allocation for `k ≤ INLINE_PROVIDERS`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MiningGameError::InvalidParameter`] per
+    /// [`validate_price_vector`].
+    pub(crate) fn from_fn(
+        k: usize,
+        mut price: impl FnMut(usize) -> f64,
+    ) -> Result<Self, MiningGameError> {
+        validate_provider_count(k)?;
+        let mut v = PriceVector { len: k, inline: [0.0; INLINE_PROVIDERS], spill: Vec::new() };
+        if k <= INLINE_PROVIDERS {
+            for (i, slot) in v.inline[..k].iter_mut().enumerate() {
+                *slot = price(i);
+            }
+        } else {
+            v.spill = (0..k).map(price).collect();
+        }
+        validate_price_vector(v.as_slice())?;
+        Ok(v)
+    }
+
+    /// This vector with provider `i` re-priced to `price`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MiningGameError::InvalidParameter`] when `price` is not
+    /// finite and strictly positive.
+    pub(crate) fn with_price(&self, i: usize, price: f64) -> Result<Self, MiningGameError> {
+        let s = self.as_slice();
+        PriceVector::from_fn(s.len(), |j| if j == i { price } else { s[j] })
+    }
+
+    /// The `K = 2` vector of a price pair.
     ///
     /// # Errors
     ///
@@ -235,7 +268,7 @@ impl ProviderSet {
         Ok(ProviderSet { providers })
     }
 
-    /// The legacy K=2 market as a provider set: `[esp, csp]`.
+    /// The paper's two-provider market as a provider set: `[esp, csp]`.
     #[must_use]
     pub fn from_market(params: &MarketParams) -> Self {
         ProviderSet { providers: vec![params.esp(), params.csp()] }
@@ -271,23 +304,22 @@ impl ProviderSet {
         &self.providers
     }
 
-    /// Admissible price interval of provider `i`: the same
-    /// `(cost ∨ 10⁻⁶·cap, cap]` box the two-provider
-    /// [`crate::sp::stage::ProviderStage`] uses, so K=2 leader searches are
-    /// bitwise-identical.
+    /// Admissible price interval of provider `i`: `(cost ∨ 10⁻⁶·cap, cap]`
+    /// (prices must be strictly positive, so a zero-cost provider still
+    /// cannot price at zero).
     #[must_use]
     pub fn bounds(&self, i: usize) -> (f64, f64) {
         let p = self.providers[i];
         (p.cost().max(1e-6 * p.price_cap()), p.price_cap())
     }
 
-    /// The `(cost + cap) / 2` starting point of the leader search — the
-    /// same initialization [`crate::stackelberg`] uses per provider.
+    /// The `(cost + cap) / 2` starting point of the leader search in
+    /// [`crate::stackelberg`].
     #[must_use]
     pub fn midpoint_prices(&self) -> PriceVector {
-        let mids: Vec<f64> =
-            self.providers.iter().map(|p| 0.5 * (p.cost() + p.price_cap())).collect();
-        PriceVector::new(&mids).expect("midpoints of validated providers are valid prices")
+        let mid = |i: usize| 0.5 * (self.providers[i].cost() + self.providers[i].price_cap());
+        PriceVector::from_fn(self.k(), mid)
+            .expect("midpoints of validated providers are valid prices")
     }
 
     /// Profit of provider `i` at `prices` given aggregate follower demand:

@@ -1,8 +1,9 @@
 //! Warm-started equilibrium continuation for grid-shaped solve sequences.
 //!
-//! The leader price search, the mixed-pricing tabulation and live repricing
-//! in `mbm-serve` all solve the *same miner population* at a dense set of
-//! price points, and the follower equilibrium varies smoothly in the prices.
+//! Grid-shaped experiment batches (`experiments --warm`), the leader stage's
+//! batched demand and live repricing in `mbm-serve` all solve the *same
+//! miner population* at a dense set of price points, and the follower
+//! equilibrium varies smoothly in the prices.
 //! This module adds the continuation layer those callers share:
 //!
 //! * [`WarmState`] — a warm-start slot holding the flat equilibrium profile

@@ -288,20 +288,51 @@ pub fn flush() -> Result<(), StoreError> {
 // Keys.
 // ---------------------------------------------------------------------------
 
-/// Mode tag word; also decides which problems are memoized at all. The
-/// closed-form chain is cheaper than a disk lookup and the dynamic chains
-/// key on whole population distributions — both are excluded by policy.
-fn mode_tag(problem: &FollowerProblem<'_>) -> Option<u64> {
-    match problem {
-        FollowerProblem::Connected { .. } => Some(1),
-        FollowerProblem::Standalone { .. } => Some(2),
-        FollowerProblem::AggregateConnected { .. } => Some(3),
-        FollowerProblem::AggregateStandalone { .. } => Some(4),
-        FollowerProblem::SymmetricConnected { .. } => Some(5),
-        FollowerProblem::SymmetricStandalone { .. } => Some(6),
-        FollowerProblem::Homogeneous { .. }
-        | FollowerProblem::Dynamic { .. }
-        | FollowerProblem::Continuous { .. } => None,
+/// The memoized solve modes. The discriminant is persisted — it is the key's
+/// mode word and the payload's mode byte — so the values are fixed: a store
+/// written with them replays only while they stay the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum MemoMode {
+    Connected = 1,
+    Standalone = 2,
+    AggregateConnected = 3,
+    AggregateStandalone = 4,
+    SymmetricConnected = 5,
+    SymmetricStandalone = 6,
+}
+
+impl MemoMode {
+    /// The mode of a memoizable problem; this also decides which problems
+    /// are memoized at all. The closed-form chain is cheaper than a disk
+    /// lookup and the dynamic chains key on whole population distributions
+    /// — both are excluded by policy.
+    fn of(problem: &FollowerProblem<'_>) -> Option<Self> {
+        match problem {
+            FollowerProblem::Connected { .. } => Some(MemoMode::Connected),
+            FollowerProblem::Standalone { .. } => Some(MemoMode::Standalone),
+            FollowerProblem::AggregateConnected { .. } => Some(MemoMode::AggregateConnected),
+            FollowerProblem::AggregateStandalone { .. } => Some(MemoMode::AggregateStandalone),
+            FollowerProblem::SymmetricConnected { .. } => Some(MemoMode::SymmetricConnected),
+            FollowerProblem::SymmetricStandalone { .. } => Some(MemoMode::SymmetricStandalone),
+            FollowerProblem::Homogeneous { .. }
+            | FollowerProblem::Dynamic { .. }
+            | FollowerProblem::Continuous { .. } => None,
+        }
+    }
+
+    /// Connected-mode game (otherwise standalone, with shared edge capacity).
+    fn is_connected(self) -> bool {
+        matches!(
+            self,
+            MemoMode::Connected | MemoMode::AggregateConnected | MemoMode::SymmetricConnected
+        )
+    }
+
+    /// Heterogeneous modes carry the full population in the payload (bitwise
+    /// collision confirm + replay data); symmetric modes carry the pair only.
+    fn is_heterogeneous(self) -> bool {
+        !matches!(self, MemoMode::SymmetricConnected | MemoMode::SymmetricStandalone)
     }
 }
 
@@ -350,11 +381,11 @@ pub(super) fn active_key(
     if !ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
-    let tag = mode_tag(problem)?;
+    let mode = MemoMode::of(problem)?;
     let (pop, cfg) = population(problem)?;
     let mut key = Vec::with_capacity(17);
     key.push(KEY_SCHEMA);
-    key.push(tag);
+    key.push(mode as u64);
     for v in [
         params.reward(),
         params.fork_rate(),
@@ -526,14 +557,8 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Heterogeneous modes carry the full population in the payload (bitwise
-/// collision confirm + replay data); symmetric modes carry the pair only.
-fn is_heterogeneous(tag: u64) -> bool {
-    (1..=4).contains(&tag)
-}
-
 fn encode(
-    tag: u64,
+    mode: MemoMode,
     solved: &Solved,
     golden_cert: f64,
     budgets: &[f64],
@@ -542,7 +567,7 @@ fn encode(
 ) -> Vec<u8> {
     let mut e = Enc(Vec::with_capacity(96 + budgets.len() * 32));
     e.u32(PAYLOAD_VERSION);
-    e.u8(tag as u8);
+    e.u8(mode as u8);
     e.u64(solved.n as u64);
     e.f64(solved.aggregates.edge);
     e.f64(solved.aggregates.cloud);
@@ -574,7 +599,7 @@ fn encode(
         e.u32(bytes.len() as u32);
         e.0.extend_from_slice(bytes);
     }
-    if is_heterogeneous(tag) {
+    if mode.is_heterogeneous() {
         for &b in budgets {
             e.f64(b);
         }
@@ -589,9 +614,9 @@ fn encode(
     e.0
 }
 
-fn decode(tag: u64, bytes: &[u8]) -> Result<StoredSolve, ()> {
+fn decode(memo: MemoMode, bytes: &[u8]) -> Result<StoredSolve, ()> {
     let mut d = Dec { bytes, pos: 0 };
-    if d.u32()? != PAYLOAD_VERSION || u64::from(d.u8()?) != tag {
+    if d.u32()? != PAYLOAD_VERSION || d.u8()? != memo as u8 {
         return Err(());
     }
     let n = usize::try_from(d.u64()?).map_err(|_| ())?;
@@ -641,7 +666,7 @@ fn decode(tag: u64, bytes: &[u8]) -> Result<StoredSolve, ()> {
         fallback_hops.push(FallbackHop { method, error });
     }
     let (mut budgets, mut requests, mut utilities) = (Vec::new(), Vec::new(), Vec::new());
-    if is_heterogeneous(tag) {
+    if memo.is_heterogeneous() {
         budgets.reserve_exact(n);
         for _ in 0..n {
             budgets.push(d.f64()?);
@@ -691,7 +716,7 @@ fn decode(tag: u64, bytes: &[u8]) -> Result<StoredSolve, ()> {
 /// Structural sanity of a stored profile: finite, non-negative, within each
 /// miner's budget, and (standalone modes) within the shared edge capacity.
 fn feasible(
-    tag: u64,
+    mode: MemoMode,
     params: &MarketParams,
     prices: &Prices,
     budgets: &[f64],
@@ -713,7 +738,7 @@ fn feasible(
             return false;
         }
     }
-    if matches!(tag, 2 | 4 | 6) && !(aggregates.edge <= params.e_max() * SLACK) {
+    if !mode.is_connected() && !(aggregates.edge <= params.e_max() * SLACK) {
         return false;
     }
     aggregates.edge.is_finite() && aggregates.cloud.is_finite()
@@ -724,7 +749,7 @@ fn feasible(
 /// `None` when the game cannot even be constructed from the stored data
 /// (treated as a rejection by the caller).
 fn natural_residual(
-    tag: u64,
+    mode: MemoMode,
     params: &MarketParams,
     prices: &Prices,
     budgets: &[f64],
@@ -738,7 +763,7 @@ fn natural_residual(
         flat.push(req.cloud);
     }
     let profile = ensure_pairs(init, flat).ok()?;
-    if matches!(tag, 1 | 3 | 5) {
+    if mode.is_connected() {
         let game = ConnectedMinerGame::new(*params, *prices, budgets.to_vec()).ok()?;
         let sets: Vec<Box<dyn ConvexSet + Send + Sync>> = budgets
             .iter()
@@ -762,7 +787,7 @@ fn natural_residual(
 /// computation must land within tolerance of it. NaN when the population
 /// exceeds the recheck cap (the hit path then applies feasibility only).
 fn golden_certificate(
-    tag: u64,
+    mode: MemoMode,
     cfg: &MemoConfig,
     params: &MarketParams,
     prices: &Prices,
@@ -773,7 +798,7 @@ fn golden_certificate(
     if !matches!(cfg.golden, GoldenCheck::Residual { .. }) || budgets.len() > cfg.recheck_cap {
         return f64::NAN;
     }
-    natural_residual(tag, params, prices, budgets, requests, ws).unwrap_or(f64::NAN)
+    natural_residual(mode, params, prices, budgets, requests, ws).unwrap_or(f64::NAN)
 }
 
 // ---------------------------------------------------------------------------
@@ -831,7 +856,7 @@ pub(super) fn consult(
     ws: &mut SolveWorkspace,
 ) -> Option<Solved> {
     let handle = handle()?;
-    let tag = mode_tag(problem)?;
+    let mode = MemoMode::of(problem)?;
     let payload = {
         let store = handle.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         match store.get(key) {
@@ -850,7 +875,7 @@ pub(super) fn consult(
         mbm_obs::global().incr("store.misses");
         return None;
     };
-    let Ok(stored) = decode(tag, &payload) else {
+    let Ok(stored) = decode(mode, &payload) else {
         reject("store.rejected.decode");
         return None;
     };
@@ -889,13 +914,13 @@ pub(super) fn consult(
             reject("store.rejected.decode");
             return None;
         };
-        if !feasible(tag, params, prices, budgets_v, requests_v, stored.aggregates) {
+        if !feasible(mode, params, prices, budgets_v, requests_v, stored.aggregates) {
             reject("store.rejected.infeasible");
             return None;
         }
         if let GoldenCheck::Residual { tol } = handle.cfg.golden {
             if budgets_v.len() <= handle.cfg.recheck_cap {
-                let recomputed = natural_residual(tag, params, prices, budgets_v, requests_v, ws);
+                let recomputed = natural_residual(mode, params, prices, budgets_v, requests_v, ws);
                 let threshold = if stored.golden_cert.is_finite() {
                     tol.max(stored.golden_cert * 2.0)
                 } else {
@@ -915,7 +940,7 @@ pub(super) fn consult(
     // Serve: reproduce the cold solve's workspace effects bitwise.
     ws.requests.clear();
     ws.utilities.clear();
-    if is_heterogeneous(tag) {
+    if mode.is_heterogeneous() {
         ws.requests.extend_from_slice(&stored.requests);
         ws.utilities.extend_from_slice(&stored.utilities);
     }
@@ -954,7 +979,7 @@ pub(super) fn record(
     ws: &mut SolveWorkspace,
 ) {
     let Some(handle) = handle() else { return };
-    let Some(tag) = mode_tag(problem) else { return };
+    let Some(mode) = MemoMode::of(problem) else { return };
     if solved.n > handle.cfg.max_n {
         SKIPPED.fetch_add(1, Ordering::Relaxed);
         mbm_obs::global().incr("store.skipped");
@@ -999,8 +1024,8 @@ pub(super) fn record(
         &requests
     };
     let golden_cert =
-        golden_certificate(tag, &handle.cfg, params, prices, &budgets, request_view, ws);
-    let payload = encode(tag, solved, golden_cert, &budgets, &requests, &utilities);
+        golden_certificate(mode, &handle.cfg, params, prices, &budgets, request_view, ws);
+    let payload = encode(mode, solved, golden_cert, &budgets, &requests, &utilities);
     let mut store = handle.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     match store.append(key, &payload) {
         Ok(()) => {
@@ -1060,8 +1085,8 @@ mod tests {
             Request { edge: 1.5, cloud: 3.0 },
         ];
         let utilities = [0.5, 0.75, -0.25];
-        let bytes = encode(2, &solved, 3.3e-10, &budgets, &requests, &utilities);
-        let back = decode(2, &bytes).expect("roundtrip decodes");
+        let bytes = encode(MemoMode::Standalone, &solved, 3.3e-10, &budgets, &requests, &utilities);
+        let back = decode(MemoMode::Standalone, &bytes).expect("roundtrip decodes");
         assert_eq!(back.n, 3);
         assert_eq!(back.aggregates, solved.aggregates);
         assert_eq!(back.report, solved.report);
@@ -1079,8 +1104,8 @@ mod tests {
         report.fallback_hops.clear();
         let mut solved = sample_solved(report);
         solved.per_miner = Some(Request { edge: 0.5, cloud: 1.5 });
-        let bytes = encode(5, &solved, f64::NAN, &[], &[], &[]);
-        let back = decode(5, &bytes).expect("roundtrip decodes");
+        let bytes = encode(MemoMode::SymmetricConnected, &solved, f64::NAN, &[], &[], &[]);
+        let back = decode(MemoMode::SymmetricConnected, &bytes).expect("roundtrip decodes");
         assert_eq!(back.per_miner, solved.per_miner);
         assert!(back.golden_cert.is_nan());
         assert!(back.budgets.is_empty() && back.requests.is_empty());
@@ -1089,16 +1114,38 @@ mod tests {
     #[test]
     fn decode_rejects_malformed_payloads() {
         let solved = sample_solved(sample_report());
-        let bytes = encode(1, &solved, 0.0, &[1.0, 2.0, 3.0], &[Request::default(); 3], &[0.0; 3]);
-        // Wrong tag, truncation, trailing garbage, and version drift all fail.
-        assert!(decode(2, &bytes).is_err());
-        assert!(decode(1, &bytes[..bytes.len() - 1]).is_err());
+        let connected = MemoMode::Connected;
+        let bytes =
+            encode(connected, &solved, 0.0, &[1.0, 2.0, 3.0], &[Request::default(); 3], &[0.0; 3]);
+        // Wrong mode, truncation, trailing garbage, and version drift all fail.
+        assert!(decode(MemoMode::Standalone, &bytes).is_err());
+        assert!(decode(connected, &bytes[..bytes.len() - 1]).is_err());
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(decode(1, &longer).is_err());
+        assert!(decode(connected, &longer).is_err());
         let mut wrong_version = bytes;
         wrong_version[0] ^= 0xFF;
-        assert!(decode(1, &wrong_version).is_err());
+        assert!(decode(connected, &wrong_version).is_err());
+    }
+
+    #[test]
+    fn memo_modes_keep_their_persisted_values() {
+        use MemoMode::*;
+        // (mode, persisted value, connected, heterogeneous): stores written
+        // with these values must keep replaying.
+        let table = [
+            (Connected, 1, true, true),
+            (Standalone, 2, false, true),
+            (AggregateConnected, 3, true, true),
+            (AggregateStandalone, 4, false, true),
+            (SymmetricConnected, 5, true, false),
+            (SymmetricStandalone, 6, false, false),
+        ];
+        for (mode, value, connected, heterogeneous) in table {
+            assert_eq!(mode as u8, value, "{mode:?}");
+            assert_eq!(mode.is_connected(), connected, "{mode:?}");
+            assert_eq!(mode.is_heterogeneous(), heterogeneous, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1143,7 +1190,7 @@ mod tests {
         let key = active_key(&params, &prices, &solver.problem).expect("memo active");
         let mut tampered = ws.requests.clone();
         tampered[0].edge *= 0.5;
-        let payload = encode(1, &cold, 0.0, &budgets, &tampered, &ws.utilities);
+        let payload = encode(MemoMode::Connected, &cold, 0.0, &budgets, &tampered, &ws.utilities);
         {
             let h = handle().expect("memo installed");
             let mut store = h.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1177,15 +1224,16 @@ mod tests {
         let prices = Prices { edge: 10.0, cloud: 2.0 };
         let ok = [Request { edge: 1.0, cloud: 2.0 }];
         let agg = Aggregates { edge: 1.0, cloud: 2.0 };
-        assert!(feasible(1, &params, &prices, &[100.0], &ok, agg));
+        let (connected, standalone) = (MemoMode::Connected, MemoMode::Standalone);
+        assert!(feasible(connected, &params, &prices, &[100.0], &ok, agg));
         // Overspent budget.
-        assert!(!feasible(1, &params, &prices, &[10.0], &ok, agg));
+        assert!(!feasible(connected, &params, &prices, &[10.0], &ok, agg));
         // Negative request.
         let neg = [Request { edge: -1.0, cloud: 2.0 }];
-        assert!(!feasible(1, &params, &prices, &[100.0], &neg, agg));
+        assert!(!feasible(connected, &params, &prices, &[100.0], &neg, agg));
         // Standalone modes also check the shared edge capacity.
         let big = Aggregates { edge: 50.0, cloud: 2.0 };
-        assert!(feasible(1, &params, &prices, &[1000.0], &ok, big));
-        assert!(!feasible(2, &params, &prices, &[1000.0], &ok, big));
+        assert!(feasible(connected, &params, &prices, &[1000.0], &ok, big));
+        assert!(!feasible(standalone, &params, &prices, &[1000.0], &ok, big));
     }
 }

@@ -2,13 +2,15 @@
 //! solve.
 //!
 //! Every leader payoff evaluation in the Stackelberg pipeline solves a full
-//! miner subgame at the candidate price pair, and the best-response iteration
-//! revisits *nearly* identical pairs round after round (the grid geometry is
-//! fixed while the other leader's price drifts by less than the solver
-//! tolerance). [`CachedStage`] exploits this: candidate prices are **snapped
-//! to a quantization grid two orders of magnitude finer than the leader
-//! tolerance before the subgame is solved**, and the resulting profit pair is
-//! memoized under the snapped key in a bounded two-generation LRU.
+//! miner subgame at the candidate price point, and the best-response
+//! iteration revisits *nearly* identical points round after round (the grid
+//! geometry is fixed while the other leaders' prices drift by less than the
+//! solver tolerance). [`CachedStage`] exploits this: candidate prices are
+//! **snapped to a quantization grid two orders of magnitude finer than the
+//! leader tolerance before the subgame is solved**, and the follower demand
+//! is memoized under the snapped price bits in a bounded two-generation LRU.
+//! Every leader's payoff at one point therefore costs one subgame solve, and
+//! a lookup allocates nothing for `K ≤ INLINE_PROVIDERS`.
 //!
 //! # Determinism contract
 //!
@@ -23,24 +25,19 @@
 //! * relative to the *unsnapped* stage, equilibrium prices move by at most
 //!   one quantum per coordinate — two orders of magnitude below the leader
 //!   tolerance, i.e. below the solver's own resolution.
-//!
-//! # Interaction with warm continuation
-//!
-//! Under [`ExecConfig::warm_start`](crate::stackelberg::ExecConfig) the
-//! cached stage needs no changes: cache *misses* solve through
-//! `inner.follower_demand` on the calling thread, whose workspace has warm
-//! continuation engaged, so each miss continues from the previous miss's
-//! equilibrium. Warm runs are forced serial, so the miss sequence — and
-//! therefore every cached value — is deterministic.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mbm_game::stackelberg::LeaderStage;
 use mbm_game::GameError;
 
-use crate::params::Prices;
+use crate::market::PriceVector;
+use crate::request::Aggregates;
 use crate::sp::stage::ProviderStage;
 
 /// Quantization step as a fraction of the leader tolerance: fine enough that
@@ -74,24 +71,20 @@ impl CacheStats {
 /// capacity, it becomes `cold` and a fresh `hot` starts; `cold` hits are
 /// promoted. Recently-used keys therefore survive at least one generation,
 /// and total occupancy never exceeds the capacity.
-///
-/// Generic over key/value so the two-provider stage (price-pair bits →
-/// profit pair) and the K-provider oligopoly stage (K snapped price bits →
-/// K profits, [`crate::sp::oligopoly`]) share one eviction policy.
 #[derive(Debug)]
-pub(crate) struct Generations<K, V> {
+struct Generations<K, V> {
     hot: HashMap<K, V>,
     cold: HashMap<K, V>,
     half_capacity: usize,
 }
 
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> Generations<K, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl<K: Hash + Eq + Clone, V: Clone> Generations<K, V> {
+    fn new(capacity: usize) -> Self {
         let half_capacity = (capacity / 2).max(1);
         Generations { hot: HashMap::new(), cold: HashMap::new(), half_capacity }
     }
 
-    pub(crate) fn get_promote(&mut self, key: &K) -> Option<V> {
+    fn get_promote(&mut self, key: &K) -> Option<V> {
         if let Some(v) = self.hot.get(key) {
             return Some(v.clone());
         }
@@ -102,11 +95,33 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Generations<K, V> {
         None
     }
 
-    pub(crate) fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, key: K, value: V) {
         if self.hot.len() >= self.half_capacity {
             self.cold = std::mem::take(&mut self.hot);
         }
         self.hot.insert(key, value);
+    }
+}
+
+/// A snapped price point, compared and hashed by the exact bits of its `K`
+/// prices.
+#[derive(Debug, Clone)]
+struct PriceKey(PriceVector);
+
+impl PartialEq for PriceKey {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0.as_slice(), other.0.as_slice());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+}
+
+impl Eq for PriceKey {}
+
+impl Hash for PriceKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for p in self.0.as_slice() {
+            state.write_u64(p.to_bits());
+        }
     }
 }
 
@@ -119,7 +134,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Generations<K, V> {
 pub struct CachedStage<'a> {
     inner: &'a ProviderStage,
     quantum: f64,
-    cache: Mutex<Generations<(u64, u64), (f64, f64)>>,
+    cache: Mutex<Generations<PriceKey, Option<Aggregates>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -178,23 +193,20 @@ impl<'a> CachedStage<'a> {
         ((price / self.quantum).round() * self.quantum).clamp(lo, hi)
     }
 
-    /// Profit pair `(V_e, V_c)` at the snapped prices, memoized. NaNs encode
-    /// a non-convergent follower stage, exactly as in the uncached payoff.
-    fn profits_at(&self, snapped: Prices) -> (f64, f64) {
-        let key = (snapped.edge.to_bits(), snapped.cloud.to_bits());
-        if let Some(v) = self.cache.lock().expect("payoff cache lock").get_promote(&key) {
+    /// Follower demand at the snapped point, memoized; `None` encodes a
+    /// non-convergent follower stage, exactly as in the uncached stage.
+    fn demand_at(&self, key: &PriceKey) -> Option<Aggregates> {
+        let lock = || self.cache.lock().expect("payoff cache lock");
+        if let Some(v) = lock().get_promote(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         // Deliberately *outside* the lock: concurrent workers may duplicate a
         // solve for the same key, but they can never block each other on a
         // multi-millisecond subgame, and both write the identical value.
-        let value = match self.inner.follower_demand(&snapped) {
-            Some(agg) => crate::sp::profits(self.inner.params(), &snapped, &agg),
-            None => (f64::NAN, f64::NAN),
-        };
+        let value = self.inner.follower_demand(&key.0);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().expect("payoff cache lock").insert(key, value);
+        lock().insert(key.clone(), value);
         value
     }
 }
@@ -209,32 +221,43 @@ impl LeaderStage for CachedStage<'_> {
     }
 
     fn payoff(&self, i: usize, actions: &[f64]) -> Result<f64, GameError> {
-        let snapped = Prices::new(self.snap(actions[0], 0), self.snap(actions[1], 1))
+        let snapped = PriceVector::from_fn(actions.len(), |k| self.snap(actions[k], k))
             .map_err(|e| GameError::invalid(e.to_string()))?;
-        let (ve, vc) = self.profits_at(snapped);
-        Ok(if i == 0 { ve } else { vc })
+        let key = PriceKey(snapped);
+        Ok(match self.demand_at(&key) {
+            Some(agg) => self.inner.providers().profit(i, &key.0, &agg),
+            None => f64::NAN,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::MarketParams;
+    use crate::market::ProviderSet;
+    use crate::params::{MarketParams, Provider};
     use crate::sp::stage::Mode;
     use crate::sp::MinerPopulation;
     use crate::subgame::SubgameConfig;
 
-    fn stage() -> ProviderStage {
-        let params = MarketParams::builder()
+    fn params() -> MarketParams {
+        MarketParams::builder()
             .reward(100.0)
             .fork_rate(0.2)
             .edge_availability(0.8)
             .e_max(5.0)
             .build()
-            .unwrap();
-        ProviderStage::new(
-            params,
-            MinerPopulation::Homogeneous { budget: 200.0, n: 5 },
+            .unwrap()
+    }
+
+    fn population() -> MinerPopulation {
+        MinerPopulation::Homogeneous { budget: 200.0, n: 5 }
+    }
+
+    fn stage() -> ProviderStage {
+        ProviderStage::two_provider(
+            params(),
+            population(),
             Mode::Connected,
             SubgameConfig::default(),
         )
@@ -377,5 +400,35 @@ mod tests {
             let s = cached.snap(price, 0);
             assert!((lo_e..=hi_e).contains(&s), "snap({price}) = {s}");
         }
+    }
+
+    #[test]
+    fn k3_keys_hold_every_provider_price() {
+        // The two points reduce to the same effective pair, but the third
+        // provider's price is part of the key: two solves with identical
+        // demand, and the undercut provider earns nothing at either point.
+        let set = ProviderSet::new(vec![
+            Provider::new(2.0, 10.0).unwrap(),
+            Provider::new(1.0, 8.0).unwrap(),
+            Provider::new(1.5, 8.0).unwrap(),
+        ])
+        .unwrap();
+        let stage = ProviderStage::new(
+            params(),
+            set,
+            population(),
+            Mode::Connected,
+            SubgameConfig::default(),
+        );
+        let cached = CachedStage::new(&stage, 1e-4, 512);
+        let payoffs = |point: [f64; 3]| -> Vec<f64> {
+            (0..3).map(|i| cached.payoff(i, &point).unwrap()).collect()
+        };
+        let a = payoffs([6.0, 2.0, 3.0]);
+        let b = payoffs([6.0, 2.0, 3.5]);
+        assert_eq!(cached.stats(), CacheStats { hits: 4, misses: 2 });
+        assert_eq!(a[0].to_bits(), b[0].to_bits());
+        assert_eq!(a[1].to_bits(), b[1].to_bits());
+        assert_eq!((a[2], b[2]), (0.0, 0.0));
     }
 }

@@ -8,14 +8,16 @@
 //! invariant price distribution of the cycle, with an exploitability
 //! certificate.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use mbm_game::matrix::{regret_matching, BimatrixGame, RegretOutcome};
 use serde::{Deserialize, Serialize};
 
 use crate::error::MiningGameError;
+use crate::market::PriceVector;
 use crate::params::{MarketParams, Prices};
 use crate::sp::stage::{Mode, ProviderStage};
 use crate::sp::MinerPopulation;
-use crate::stackelberg::ExecConfig;
 use crate::subgame::SubgameConfig;
 
 /// Configuration for [`mixed_price_equilibrium`].
@@ -76,68 +78,24 @@ pub fn mixed_price_equilibrium(
     mode: Mode,
     cfg: &MixedPricingConfig,
 ) -> Result<MixedPriceEquilibrium, MiningGameError> {
-    mixed_price_equilibrium_exec(params, population, mode, cfg, &ExecConfig::serial())
-}
-
-/// [`mixed_price_equilibrium`] with execution options. With
-/// `exec.warm_start` set, the full `grid_points²` payoff tabulation is
-/// solved as one continuation batch (nearest-neighbor order over all
-/// price-pair cells, each follower solve seeded from its predecessor's
-/// equilibrium); the regret dynamics and everything downstream are
-/// unchanged. With `warm_start` off this is exactly the historical
-/// cell-by-cell cold tabulation.
-///
-/// # Errors
-///
-/// Propagates construction errors from the game layers.
-pub fn mixed_price_equilibrium_exec(
-    params: &MarketParams,
-    population: MinerPopulation,
-    mode: Mode,
-    cfg: &MixedPricingConfig,
-    exec: &ExecConfig,
-) -> Result<MixedPriceEquilibrium, MiningGameError> {
     if cfg.grid_points < 2 {
         return Err(MiningGameError::invalid("mixed pricing needs at least 2 grid points"));
     }
-    let stage = ProviderStage::new(*params, population, mode, cfg.subgame);
-    let edge_grid = price_grid(params.esp().cost(), params.esp().price_cap(), cfg.grid_points);
-    let cloud_grid = price_grid(params.csp().cost(), params.csp().price_cap(), cfg.grid_points);
+    let stage = ProviderStage::two_provider(*params, population, mode, cfg.subgame);
+    let providers = stage.providers();
+    let edge_grid = price_grid(providers.bounds(0), cfg.grid_points);
+    let cloud_grid = price_grid(providers.bounds(1), cfg.grid_points);
 
     const INFEASIBLE: f64 = -1e6;
-    let game = if exec.warm_start {
-        // Tabulate all cells through one warm continuation batch: collect
-        // the (valid) price pairs row-major, batch-solve them, then read the
-        // precomputed demand back per cell.
-        let cells: Vec<Option<Prices>> = edge_grid
-            .iter()
-            .flat_map(|&pe| cloud_grid.iter().map(move |&pc| Prices::new(pe, pc).ok()))
-            .collect();
-        let grid: Vec<Prices> = cells.iter().filter_map(|c| *c).collect();
-        let mut demands = stage.follower_demand_batch(&grid).into_iter();
-        let payoffs: Vec<(f64, f64)> = cells
-            .iter()
-            .map(|cell| match cell {
-                Some(p) => match demands.next().flatten() {
-                    Some(d) => crate::sp::profits(params, p, &d),
-                    None => (INFEASIBLE, INFEASIBLE),
-                },
-                None => (INFEASIBLE, INFEASIBLE),
-            })
-            .collect();
-        let cols = cloud_grid.len();
-        BimatrixGame::from_fn(edge_grid.len(), cols, |i, j| payoffs[i * cols + j])?
-    } else {
-        BimatrixGame::from_fn(edge_grid.len(), cloud_grid.len(), |i, j| {
-            match Prices::new(edge_grid[i], cloud_grid[j])
-                .ok()
-                .and_then(|p| stage.follower_demand(&p).map(|d| (p, d)))
-            {
-                Some((p, d)) => crate::sp::profits(params, &p, &d),
-                None => (INFEASIBLE, INFEASIBLE),
-            }
-        })?
-    };
+    let game = BimatrixGame::from_fn(edge_grid.len(), cloud_grid.len(), |i, j| {
+        match PriceVector::new(&[edge_grid[i], cloud_grid[j]])
+            .ok()
+            .and_then(|p| stage.follower_demand(&p).map(|d| (p, d)))
+        {
+            Some((p, d)) => (providers.profit(0, &p, &d), providers.profit(1, &p, &d)),
+            None => (INFEASIBLE, INFEASIBLE),
+        }
+    })?;
     let has_pure_equilibrium = !game.pure_equilibria().is_empty();
     let RegretOutcome { row_strategy, col_strategy, exploitability, .. } =
         regret_matching(&game, cfg.iterations, cfg.seed)?;
@@ -155,8 +113,8 @@ pub fn mixed_price_equilibrium_exec(
     })
 }
 
-fn price_grid(cost: f64, cap: f64, points: usize) -> Vec<f64> {
-    let lo = cost.max(1e-6 * cap);
+/// `points` prices evenly spaced over `(lo, cap]`.
+fn price_grid((lo, cap): (f64, f64), points: usize) -> Vec<f64> {
     (1..=points).map(|k| lo + (cap - lo) * k as f64 / points as f64).collect()
 }
 
@@ -219,32 +177,6 @@ mod tests {
         assert!(last > 0.8, "cap mass {last}: {:?}", out.edge_strategy);
         // Low exploitability relative to the profit scale (~50).
         assert!(out.exploitability.0 < 5.0, "{:?}", out.exploitability);
-    }
-
-    #[test]
-    fn warm_tabulation_agrees_with_cold() {
-        let cfg = MixedPricingConfig { grid_points: 6, iterations: 20_000, ..Default::default() };
-        let cold =
-            mixed_price_equilibrium(&ne_params(), population(), Mode::Connected, &cfg).unwrap();
-        let warm = mixed_price_equilibrium_exec(
-            &ne_params(),
-            population(),
-            Mode::Connected,
-            &cfg,
-            &ExecConfig::serial().with_warm_start(),
-        )
-        .unwrap();
-        assert_eq!(cold.edge_grid, warm.edge_grid);
-        assert_eq!(cold.has_pure_equilibrium, warm.has_pure_equilibrium);
-        // Warm tabulation lands on the same payoffs within the subgame
-        // tolerance, so the regret dynamics concentrate the same way.
-        assert!(
-            (cold.mean_prices.edge - warm.mean_prices.edge).abs() < 1e-3,
-            "{:?} vs {:?}",
-            cold.mean_prices,
-            warm.mean_prices
-        );
-        assert!((cold.mean_prices.cloud - warm.mean_prices.cloud).abs() < 1e-3);
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! * [`pricing`] — closed-form helpers: Theorem 4 (connected mode,
 //!   homogeneous budget-binding miners), the standalone market-clearing edge
 //!   price and the standalone CSP closed form (Table II).
-//! * [`stage`] — [`mbm_game::stackelberg::LeaderStage`] adapters embedding
-//!   the miner subgame into each provider's payoff (backward induction).
+//! * [`stage`] — the [`mbm_game::stackelberg::LeaderStage`] embedding the
+//!   miner subgame into every provider's payoff (backward induction), for
+//!   any number of providers.
 //! * [`cache`] — quantized-price memoization of leader payoffs: repeated
 //!   best-response rounds at nearby prices reuse miner-subgame solves.
 //! * [`mixed`] — mixed-strategy pricing via regret matching on the
 //!   discretized leader game, for the Edgeworth-cycle region where no pure
 //!   equilibrium exists.
+//!
+//! [`profits`] and [`revenues`] account a follower outcome at the reduced
+//! price pair (the market report and the serve wire).
 
 pub mod cache;
 pub mod mixed;
-pub mod oligopoly;
 pub mod pricing;
 pub mod stage;
 

@@ -1,10 +1,15 @@
 //! Full two-stage Stackelberg solutions.
 //!
-//! Backward induction per Definition 1: the leader stage (both providers
+//! Backward induction per Definition 1: the leader stage (every provider
 //! pricing, each anticipating the miner subgame) is solved by asynchronous
 //! best response (paper Algorithm 1) or simultaneous price bargaining
-//! (Algorithm 2's schedule); the reported follower equilibrium is then
-//! re-solved at the equilibrium prices with the full heterogeneous solver.
+//! (Algorithm 2's schedule) on the K-provider [`ProviderStage`]; the
+//! reported follower equilibrium is then re-solved at the equilibrium's
+//! effective prices with the full heterogeneous solver. [`solve_oligopoly`]
+//! is the entry point for any provider set; [`solve_connected`] and
+//! [`solve_standalone`] are its `K = 2` form for the paper's market.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use mbm_game::stackelberg::{
     leader_equilibrium, leader_equilibrium_par, simultaneous_bargaining,
@@ -15,6 +20,7 @@ use mbm_par::Pool;
 use serde::{Deserialize, Serialize};
 
 use crate::error::MiningGameError;
+use crate::market::{PriceVector, ProviderSet};
 use crate::params::{validate_budgets, MarketParams, Prices};
 use crate::sp::cache::CachedStage;
 use crate::sp::stage::{Mode, ProviderStage};
@@ -60,15 +66,6 @@ pub struct ExecConfig {
     /// same process do not pollute a scoped measurement.
     #[serde(default)]
     pub telemetry: bool,
-    /// Warm-started equilibrium continuation in the leader price search:
-    /// follower solves seed from the previous equilibrium (population-keyed,
-    /// see [`crate::solver::continuation`]) instead of starting cold. Forces
-    /// serial leader evaluation (`threads` is ignored) so the continuation
-    /// sequence is deterministic at any configured thread count. Off by
-    /// default — cold paths stay bitwise-historical; warm results agree
-    /// within the certificate tolerance.
-    #[serde(default)]
-    pub warm_start: bool,
 }
 
 impl ExecConfig {
@@ -76,26 +73,19 @@ impl ExecConfig {
     /// [`Default`]).
     #[must_use]
     pub fn serial() -> Self {
-        ExecConfig { threads: 1, cache_capacity: 0, telemetry: false, warm_start: false }
+        ExecConfig { threads: 1, cache_capacity: 0, telemetry: false }
     }
 
     /// Auto-sized worker pool plus a generously sized payoff cache.
     #[must_use]
     pub fn accelerated() -> Self {
-        ExecConfig { threads: 0, cache_capacity: 1 << 16, telemetry: false, warm_start: false }
+        ExecConfig { threads: 0, cache_capacity: 1 << 16, telemetry: false }
     }
 
     /// Same execution settings with telemetry publication switched on.
     #[must_use]
     pub fn with_telemetry(self) -> Self {
         ExecConfig { telemetry: true, ..self }
-    }
-
-    /// Same execution settings with warm-started continuation switched on
-    /// (and therefore serial leader evaluation).
-    #[must_use]
-    pub fn with_warm_start(self) -> Self {
-        ExecConfig { warm_start: true, ..self }
     }
 
     /// The worker count this configuration actually runs with.
@@ -172,6 +162,23 @@ pub struct StackelbergSolution {
     pub leader_residual: f64,
 }
 
+/// A solved K-provider Stackelberg game.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OligopolySolution {
+    /// Equilibrium prices `[P_e*, P_c¹*, …]`.
+    pub prices: Vec<f64>,
+    /// Follower equilibrium at the effective prices.
+    pub equilibrium: MinerEquilibrium,
+    /// Per-provider demand (Bertrand allocation of the aggregates).
+    pub demand: Vec<f64>,
+    /// Per-provider profits.
+    pub profits: Vec<f64>,
+    /// Leader rounds used.
+    pub leader_rounds: usize,
+    /// Final leader residual (price displacement).
+    pub leader_residual: f64,
+}
+
 /// Solves the connected-mode Stackelberg game for the given miner budgets.
 ///
 /// Homogeneous budgets automatically use the symmetric fast-path follower
@@ -185,7 +192,7 @@ pub fn solve_connected(
     budgets: &[f64],
     cfg: &StackelbergConfig,
 ) -> Result<StackelbergSolution, MiningGameError> {
-    solve(params, budgets, Mode::Connected, cfg)
+    solve_two_provider(params, budgets, Mode::Connected, cfg, &CONNECTED)
 }
 
 /// Solves the standalone-mode Stackelberg game for the given miner budgets.
@@ -198,45 +205,104 @@ pub fn solve_standalone(
     budgets: &[f64],
     cfg: &StackelbergConfig,
 ) -> Result<StackelbergSolution, MiningGameError> {
-    solve(params, budgets, Mode::Standalone, cfg)
+    solve_two_provider(params, budgets, Mode::Standalone, cfg, &STANDALONE)
 }
 
-fn solve(
+/// Solves the K-provider Stackelberg game: the leader schedule and
+/// damping-retry ladder run on a [`ProviderStage`] over `providers`, then
+/// the follower equilibrium is re-solved at the effective equilibrium
+/// prices with the full heterogeneous solver.
+///
+/// With `cfg.exec.telemetry` set, publishes `core.solver.oligopoly.solves`
+/// / `.rounds` counters, the `core.solver.oligopoly.k` gauge and the
+/// `.residual` observation to [`mbm_obs::global`].
+///
+/// # Errors
+///
+/// Propagates parameter and convergence errors.
+pub fn solve_oligopoly(
+    params: &MarketParams,
+    providers: &ProviderSet,
+    budgets: &[f64],
+    mode: Mode,
+    cfg: &StackelbergConfig,
+) -> Result<OligopolySolution, MiningGameError> {
+    solve(params, providers, budgets, mode, cfg, &OLIGOPOLY)
+}
+
+/// The telemetry names one solve entry point publishes under.
+struct SolveMetrics {
+    span: &'static str,
+    solves: &'static str,
+    rounds: &'static str,
+    residual: &'static str,
+    /// Gauge for the provider count `K`, if the entry point publishes it.
+    k: Option<&'static str>,
+}
+
+const CONNECTED: SolveMetrics = SolveMetrics {
+    span: "core.solve.connected",
+    solves: "core.solves.connected",
+    rounds: "core.leader.rounds",
+    residual: "core.leader.residual",
+    k: None,
+};
+
+const STANDALONE: SolveMetrics =
+    SolveMetrics { span: "core.solve.standalone", solves: "core.solves.standalone", ..CONNECTED };
+
+const OLIGOPOLY: SolveMetrics = SolveMetrics {
+    span: "core.solver.oligopoly.solve",
+    solves: "core.solver.oligopoly.solves",
+    rounds: "core.solver.oligopoly.rounds",
+    residual: "core.solver.oligopoly.residual",
+    k: Some("core.solver.oligopoly.k"),
+};
+
+/// The paper's market as a `K = 2` solve, reported as a price pair.
+fn solve_two_provider(
     params: &MarketParams,
     budgets: &[f64],
     mode: Mode,
     cfg: &StackelbergConfig,
+    metrics: &SolveMetrics,
 ) -> Result<StackelbergSolution, MiningGameError> {
+    let sol = solve(params, &ProviderSet::from_market(params), budgets, mode, cfg, metrics)?;
+    Ok(StackelbergSolution {
+        prices: Prices { edge: sol.prices[0], cloud: sol.prices[1] },
+        equilibrium: sol.equilibrium,
+        esp_profit: sol.profits[0],
+        csp_profit: sol.profits[1],
+        leader_rounds: sol.leader_rounds,
+        leader_residual: sol.leader_residual,
+    })
+}
+
+fn solve(
+    params: &MarketParams,
+    providers: &ProviderSet,
+    budgets: &[f64],
+    mode: Mode,
+    cfg: &StackelbergConfig,
+    metrics: &SolveMetrics,
+) -> Result<OligopolySolution, MiningGameError> {
     validate_budgets(budgets)?;
     let rec = mbm_obs::global();
     let telemetry = cfg.exec.telemetry;
-    let _span = telemetry.then(|| {
-        rec.span(match mode {
-            Mode::Connected => "core.solve.connected",
-            Mode::Standalone => "core.solve.standalone",
-        })
-    });
+    let _span = telemetry.then(|| rec.span(metrics.span));
     let threads = cfg.exec.effective_threads();
     if telemetry {
-        rec.incr(match mode {
-            Mode::Connected => "core.solves.connected",
-            Mode::Standalone => "core.solves.standalone",
-        });
+        rec.incr(metrics.solves);
+        if let Some(k) = metrics.k {
+            rec.gauge(k, providers.k() as u64);
+        }
         rec.gauge("core.exec.threads", threads as u64);
         rec.gauge("core.exec.cache_capacity", cfg.exec.cache_capacity as u64);
     }
-    let population = population_of(budgets);
-    let stage = ProviderStage::new(*params, population, mode, cfg.subgame);
-    let init = vec![
-        0.5 * (params.esp().cost() + params.esp().price_cap()),
-        0.5 * (params.csp().cost() + params.csp().price_cap()),
-    ];
-    // Warm continuation runs the whole leader search (and the final subgame
-    // re-solve) serially on this thread's workspace: every follower solve
-    // continues from its predecessor's equilibrium, and the answer cannot
-    // depend on the configured thread count.
-    let _warm = cfg.exec.warm_start.then(crate::solver::ThreadWarmGuard::engage);
-    let pool = (threads > 1 && !cfg.exec.warm_start).then(|| Pool::new(threads));
+    let stage =
+        ProviderStage::new(*params, providers.clone(), population_of(budgets), mode, cfg.subgame);
+    let init = providers.midpoint_prices().to_vec();
+    let pool = (threads > 1).then(|| Pool::new(threads));
     let out = if cfg.exec.cache_capacity > 0 {
         let cached = CachedStage::new(&stage, cfg.leader.tol, cfg.exec.cache_capacity);
         let out = run_leader_stage(&cached, init, cfg, pool.as_ref());
@@ -248,20 +314,24 @@ fn solve(
         run_leader_stage(&stage, init, cfg, pool.as_ref())?
     };
     if telemetry {
-        rec.add("core.leader.rounds", out.rounds as u64);
-        rec.observe("core.leader.residual", out.residual);
+        rec.add(metrics.rounds, out.rounds as u64);
+        rec.observe(metrics.residual, out.residual);
     }
-    let prices = Prices::new(out.actions[0], out.actions[1])?;
+    let prices = PriceVector::new(&out.actions)?;
+    let effective = prices.effective();
     let equilibrium = match mode {
-        Mode::Connected => solve_connected_miner_subgame(params, &prices, budgets, &cfg.subgame)?,
-        Mode::Standalone => solve_standalone_miner_subgame(params, &prices, budgets, &cfg.subgame)?,
+        Mode::Connected => {
+            solve_connected_miner_subgame(params, &effective, budgets, &cfg.subgame)?
+        }
+        Mode::Standalone => {
+            solve_standalone_miner_subgame(params, &effective, budgets, &cfg.subgame)?
+        }
     };
-    let (esp_profit, csp_profit) = crate::sp::profits(params, &prices, &equilibrium.aggregates);
-    Ok(StackelbergSolution {
-        prices,
+    Ok(OligopolySolution {
+        prices: prices.to_vec(),
+        demand: prices.allocate_demand(&equilibrium.aggregates),
+        profits: providers.profits(&prices, &equilibrium.aggregates),
         equilibrium,
-        esp_profit,
-        csp_profit,
         leader_rounds: out.rounds,
         leader_residual: out.residual,
     })
@@ -275,11 +345,7 @@ fn solve(
 /// producing an Edgeworth-style price cycle (see DESIGN.md). Best response
 /// therefore retries with increasing damping, which settles near-cycles; a
 /// genuine cycle still reports `NoConvergence` honestly.
-///
-/// `pub(crate)` so the K-provider oligopoly solve
-/// ([`crate::sp::oligopoly::solve_oligopoly`]) shares the exact schedule and
-/// damping-retry ladder — at K=2 its leader search is this one, bitwise.
-pub(crate) fn run_leader_stage<S: LeaderStage + Sync>(
+fn run_leader_stage<S: LeaderStage + Sync>(
     stage: &S,
     init: Vec<f64>,
     cfg: &StackelbergConfig,
@@ -312,7 +378,7 @@ pub(crate) fn run_leader_stage<S: LeaderStage + Sync>(
     }
 }
 
-pub(crate) fn population_of(budgets: &[f64]) -> MinerPopulation {
+fn population_of(budgets: &[f64]) -> MinerPopulation {
     let first = budgets[0];
     if budgets.iter().all(|&b| (b - first).abs() <= 1e-12 * (1.0 + first)) {
         MinerPopulation::Homogeneous { budget: first, n: budgets.len() }
@@ -432,28 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_agrees_with_cold_within_tolerance_at_any_thread_count() {
-        let p = params();
-        let cold = solve_connected(&p, &[200.0; 5], &StackelbergConfig::default()).unwrap();
-        let mut warm_solutions = Vec::new();
-        for threads in [1, 4] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false, warm_start: true },
-                ..Default::default()
-            };
-            warm_solutions.push(solve_connected(&p, &[200.0; 5], &cfg).unwrap());
-        }
-        // Thread count cannot matter under warm continuation (forced serial).
-        assert_eq!(warm_solutions[0], warm_solutions[1]);
-        let warm = &warm_solutions[0];
-        // Warm and cold land on the same leader equilibrium within the
-        // leader search resolution.
-        let tol = StackelbergConfig::default().leader.tol * 10.0;
-        assert!((warm.prices.edge - cold.prices.edge).abs() <= tol, "{warm:?} vs {cold:?}");
-        assert!((warm.prices.cloud - cold.prices.cloud).abs() <= tol, "{warm:?} vs {cold:?}");
-    }
-
-    #[test]
     fn rejects_bad_budgets() {
         let p = params();
         assert!(solve_connected(&p, &[100.0], &StackelbergConfig::default()).is_err());
@@ -466,12 +510,7 @@ mod tests {
         let serial = solve_connected(&p, &[200.0; 5], &StackelbergConfig::default()).unwrap();
         for threads in [2, 4] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig {
-                    threads,
-                    cache_capacity: 0,
-                    telemetry: false,
-                    warm_start: false,
-                },
+                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false },
                 ..Default::default()
             };
             let par = solve_connected(&p, &[200.0; 5], &cfg).unwrap();
@@ -487,24 +526,14 @@ mod tests {
             &p,
             &[200.0; 5],
             &StackelbergConfig {
-                exec: ExecConfig {
-                    threads: 1,
-                    cache_capacity: 1,
-                    telemetry: false,
-                    warm_start: false,
-                },
+                exec: ExecConfig { threads: 1, cache_capacity: 1, telemetry: false },
                 ..base
             },
         )
         .unwrap();
         for (threads, capacity) in [(1, 1 << 16), (4, 1), (4, 1 << 16)] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig {
-                    threads,
-                    cache_capacity: capacity,
-                    telemetry: false,
-                    warm_start: false,
-                },
+                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
                 ..base
             };
             let sol = solve_connected(&p, &[200.0; 5], &cfg).unwrap();
@@ -515,5 +544,59 @@ mod tests {
         let exact = solve_connected(&p, &[200.0; 5], &base).unwrap();
         assert!((exact.prices.edge - reference.prices.edge).abs() <= 10.0 * base.leader.tol);
         assert!((exact.prices.cloud - reference.prices.cloud).abs() <= 10.0 * base.leader.tol);
+    }
+
+    fn three_provider_set() -> ProviderSet {
+        ProviderSet::new(vec![
+            crate::params::Provider::new(7.0, 15.0).unwrap(),
+            crate::params::Provider::new(1.0, 8.0).unwrap(),
+            crate::params::Provider::new(1.5, 8.0).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn k3_solution_prices_the_cheap_cloud_below_its_rival() {
+        let p = params();
+        let set = three_provider_set();
+        let sol =
+            solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &StackelbergConfig::default())
+                .unwrap();
+        assert_eq!(sol.prices.len(), 3);
+        // Demand accounting: edge gets E, winning cloud(s) split C.
+        let agg = sol.equilibrium.aggregates;
+        assert!((sol.demand[0] - agg.edge).abs() < 1e-12);
+        assert!((sol.demand[1] + sol.demand[2] - agg.cloud).abs() < 1e-9, "{:?}", sol.demand);
+        // The losing cloud provider earns nothing.
+        let min = sol.prices[1].min(sol.prices[2]);
+        for i in 1..3 {
+            if sol.prices[i] > min {
+                assert_eq!(sol.profits[i], 0.0, "{sol:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn k3_cached_and_parallel_execution_is_bitwise_serial() {
+        let p = params();
+        let set = three_provider_set();
+        let serial =
+            solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &StackelbergConfig::default())
+                .unwrap();
+        for (threads, capacity) in [(4, 0), (1, 1 << 14), (4, 1 << 14)] {
+            let cfg = StackelbergConfig {
+                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
+                ..Default::default()
+            };
+            let other = solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &cfg).unwrap();
+            if capacity == 0 {
+                assert_eq!(serial, other, "threads {threads}");
+            } else {
+                // Quantization moves prices below the solver's resolution.
+                for (a, b) in serial.prices.iter().zip(&other.prices) {
+                    assert!((a - b).abs() <= 10.0 * cfg.leader.tol, "{serial:?} vs {other:?}");
+                }
+            }
+        }
     }
 }

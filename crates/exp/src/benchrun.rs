@@ -31,7 +31,6 @@ use mbm_core::request::Aggregates;
 use mbm_core::scenario::EdgeOperation;
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
 use mbm_core::sp::cache::CachedStage;
-use mbm_core::sp::oligopoly::OligopolyStage;
 use mbm_core::sp::stage::{Mode, ProviderStage};
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{solve_connected, ExecConfig, StackelbergConfig};
@@ -122,7 +121,7 @@ fn bench_stackelberg(threads: usize) -> BenchRecord {
     let serial_cfg =
         StackelbergConfig { leader: LeaderParams::reference(), ..StackelbergConfig::default() };
     let par_cfg = StackelbergConfig {
-        exec: ExecConfig { threads, cache_capacity: 1 << 16, telemetry: false, warm_start: false },
+        exec: ExecConfig { threads, cache_capacity: 1 << 16, telemetry: false },
         ..serial_cfg
     };
     let (serial, serial_ms) =
@@ -158,7 +157,8 @@ fn bench_multistart_memoized() -> BenchRecord {
     let params = leader_ne_market();
     let budgets = vec![80.0, 120.0, 160.0, 200.0, 240.0];
     let population = MinerPopulation::Heterogeneous { budgets };
-    let stage = ProviderStage::new(params, population, Mode::Connected, SubgameConfig::default());
+    let stage =
+        ProviderStage::two_provider(params, population, Mode::Connected, SubgameConfig::default());
     let leader = LeaderParams::reference();
     let n_inits = 8;
     let inits: Vec<Vec<f64>> = (0..n_inits)
@@ -561,7 +561,7 @@ fn bench_continuation_grid_sweep() -> BenchRecord {
 /// The K = 3 analogue of `continuation_grid_sweep`: a leader-refinement
 /// lattice of provider *vectors* — edge and cheapest-cloud prices stepping
 /// finely, the expensive third provider drifting above them — demanded
-/// through the oligopoly stage. The cold path solves every vector's
+/// through the K = 3 leader stage. The cold path solves every vector's
 /// follower subgame independently; the batch path dedups vectors that share
 /// an effective (edge, min-cloud) reduction and runs the unique grid
 /// through the warm continuation, so the K-provider layer inherits the
@@ -577,7 +577,7 @@ fn bench_oligopoly_grid_sweep() -> BenchRecord {
         Provider::new(1.4, 8.0).expect("valid provider"),
     ])
     .expect("valid provider set");
-    let stage = OligopolyStage::new(
+    let stage = ProviderStage::new(
         params,
         providers,
         MinerPopulation::Heterogeneous { budgets },
@@ -834,7 +834,7 @@ fn collect_telemetry(threads: usize, pool: &Pool) -> mbm_obs::Snapshot {
     let params = leader_ne_market();
     let budgets = [80.0, 120.0, 160.0, 200.0, 240.0];
     let cfg = StackelbergConfig {
-        exec: ExecConfig { threads, cache_capacity: 1 << 16, telemetry: true, warm_start: false },
+        exec: ExecConfig { threads, cache_capacity: 1 << 16, telemetry: true },
         ..StackelbergConfig::default()
     };
     let _ = solve_connected(&params, &budgets, &cfg);

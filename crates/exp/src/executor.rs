@@ -473,7 +473,8 @@ impl TaskResults {
         }
     }
 
-    /// Algorithm 1 trace of a required task.
+    /// Price-dynamics trace of a required task (Algorithm 1 over two or
+    /// more providers).
     pub fn trace(&self, task: &Task) -> Result<&mbm_core::algorithms::PriceTrace, EngineError> {
         match self.output(task)? {
             TaskOutput::Trace(Ok(t)) => Ok(t),
@@ -526,18 +527,6 @@ impl TaskResults {
             TaskOutput::Oligopoly(Ok(s)) => Ok(s),
             TaskOutput::Oligopoly(Err(e)) => Err(Self::failed(task, e)),
             other => Err(Self::mismatch("oligopoly", other)),
-        }
-    }
-
-    /// K-leader price-dynamics trace of a required task.
-    pub fn oligopoly_trace(
-        &self,
-        task: &Task,
-    ) -> Result<&mbm_core::sp::oligopoly::OligopolyTrace, EngineError> {
-        match self.output(task)? {
-            TaskOutput::OligopolyTrace(Ok(t)) => Ok(t),
-            TaskOutput::OligopolyTrace(Err(e)) => Err(Self::failed(task, e)),
-            other => Err(Self::mismatch("oligopoly_trace", other)),
         }
     }
 }

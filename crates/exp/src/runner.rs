@@ -1,4 +1,4 @@
-//! The `experiments` CLI and the entry point behind every legacy binary.
+//! The `experiments` CLI.
 //!
 //! One runner serves all registered specs:
 //!
@@ -8,11 +8,11 @@
 //! experiments --only fig8[,fig9a] [--json DIR] [ARGS...]
 //! ```
 //!
-//! `--only <name>` at default resolution reproduces the legacy binary's
-//! stdout byte for byte (trailing positional `ARGS` are the old binaries'
-//! `arg_or` overrides). `--check` runs the reduced-resolution smoke sweep
-//! and exits non-zero when any required solve failed or a rendered table
-//! has no finite cell; diagnostics go to stderr. `--json DIR` writes one
+//! `--only <name>` runs the named specs at full resolution (trailing
+//! positional `ARGS` are the specs' `arg_or` overrides). `--check` runs the
+//! reduced-resolution smoke sweep and exits non-zero when any required
+//! solve failed or a rendered table has no finite cell; diagnostics go to
+//! stderr. `--json DIR` writes one
 //! canonical `<name>.json` per spec plus a `batch.json` with the planner's
 //! dedup accounting and a `reports.json` with every follower-solve report
 //! (including degraded cells); `--telemetry PATH` enables the global
@@ -52,7 +52,7 @@ use mbm_core::solver::memo::{self, GoldenCheck, MemoConfig};
 use mbm_core::solver::{DegradeMode, SolvePolicy};
 use serde::Value;
 
-use crate::engine::{run_batch, run_batch_supervised_opts, Batch, BatchOptions};
+use crate::engine::{run_batch_supervised_opts, Batch, BatchOptions};
 use crate::obs_bridge::telemetry_document;
 use crate::spec::{find, registry, ExperimentSpec, Resolution, SpecCtx};
 
@@ -72,7 +72,7 @@ struct Options {
     store: Option<PathBuf>,
     store_golden: Option<GoldenCheck>,
     /// Positional `arg_or` overrides (unparsable entries become NaN so
-    /// later slots keep their position, as the legacy binaries did).
+    /// later slots keep their position).
     args: Vec<f64>,
 }
 
@@ -370,34 +370,6 @@ fn write_telemetry(path: &Path, batch: &Batch, ctx: &SpecCtx) -> Result<(), Stri
     }
     let json = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
     fs::write(path, json + "\n").map_err(|e| e.to_string())
-}
-
-/// Entry point of every legacy figure/table binary: runs one spec at full
-/// resolution with the binary's positional `arg_or` overrides and prints
-/// its tables — byte-identical to the old hand-rolled driver.
-#[must_use]
-pub fn run_bin(name: &str) -> i32 {
-    let args: Vec<f64> = std::env::args().skip(1).map(|s| s.parse().unwrap_or(f64::NAN)).collect();
-    let spec = match find(name) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            return 2;
-        }
-    };
-    let ctx = SpecCtx { resolution: Resolution::Full, args };
-    match run_batch(&[spec], &ctx, mbm_par::Pool::global()) {
-        Ok(batch) => {
-            for result in &batch.results {
-                print!("{}", result.render());
-            }
-            0
-        }
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            1
-        }
-    }
 }
 
 #[cfg(test)]

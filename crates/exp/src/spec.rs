@@ -28,7 +28,7 @@ pub enum Resolution {
 pub struct SpecCtx {
     /// Sweep resolution.
     pub resolution: Resolution,
-    /// Positional CLI overrides (the legacy binaries' `arg_or` values).
+    /// Positional CLI overrides (`experiments --only NAME ARGS...`).
     pub args: Vec<f64>,
 }
 
@@ -76,7 +76,7 @@ impl SpecCtx {
 /// pair (plain function pointers so the registry stays `const`-friendly).
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSpec {
-    /// Registry name — the legacy binary name (`fig4`, `welfare`, …).
+    /// Registry name, as `experiments --only` takes it (`fig4`, `welfare`, …).
     pub name: &'static str,
     /// One-line description for `experiments --list`.
     pub summary: &'static str,

@@ -60,7 +60,7 @@ fn render(ctx: &SpecCtx, results: &TaskResults) -> Result<Vec<SweepTable>, Engin
         .rounds
         .iter()
         .enumerate()
-        .map(|(k, r)| vec![k as f64, r.prices.edge, r.prices.cloud, r.profits.0, r.profits.1])
+        .map(|(k, r)| vec![k as f64, r.prices[0], r.prices[1], r.profits[0], r.profits[1]])
         .collect();
     let note = match trace.detect_cycle(0.05) {
         Some(p) => {

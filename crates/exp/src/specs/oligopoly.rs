@@ -11,8 +11,8 @@
 //!   dynamics from a common start, reporting rounds, convergence and the
 //!   detected Edgeworth cycle period (0 when none).
 //!
-//! At `K = 2` every grid point is bitwise the legacy two-provider solve —
-//! the sweep's first block doubles as a live regression of the K-provider
+//! At `K = 2` every grid point is the paper's two-provider market, so the
+//! sweep's first block doubles as a live regression of the K-provider
 //! reduction. CI runs `--only oligopoly-sweep --check`; every follower
 //! solve must end `Converged` in `reports.json`.
 
@@ -147,7 +147,7 @@ fn render(ctx: &SpecCtx, results: &TaskResults) -> Result<Vec<SweepTable>, Engin
     }
     let mut dyn_rows = Vec::new();
     for (k, task) in dynamics(ctx) {
-        let trace = results.oligopoly_trace(&task)?;
+        let trace = results.trace(&task)?;
         let finals = trace.final_prices();
         let min_cloud = finals[1..].iter().copied().fold(f64::INFINITY, f64::min);
         dyn_rows.push(vec![

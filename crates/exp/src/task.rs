@@ -29,7 +29,6 @@ use mbm_core::solver::{
     solve_symmetric_continuous_reported, SolveReport,
 };
 use mbm_core::sp::mixed::{mixed_price_equilibrium, MixedPriceEquilibrium, MixedPricingConfig};
-use mbm_core::sp::oligopoly::{oligopoly_best_response_dynamics, OligopolyTrace};
 use mbm_core::sp::pricing::{standalone_csp_price, standalone_market_clearing_edge_price};
 use mbm_core::sp::stage::{Mode, ProviderStage};
 use mbm_core::sp::MinerPopulation;
@@ -40,6 +39,7 @@ use mbm_core::subgame::SubgameConfig;
 use mbm_core::table2::{closed_forms, Table2};
 use mbm_game::nash::{best_response_dynamics, BrParams, UpdateOrder};
 use mbm_game::profile::Profile;
+use mbm_game::stackelberg::LeaderStage;
 use mbm_learn::trainer::{learn_miner_strategies, TrainConfig};
 use mbm_numerics::optimize::adaptive_grid_max;
 
@@ -357,8 +357,8 @@ pub enum Task {
         cfg: SubgameConfig,
     },
     /// K-leader sequential best-response price dynamics
-    /// ([`mbm_core::sp::oligopoly::oligopoly_best_response_dynamics`]) with
-    /// Edgeworth-cycle detection on the trace.
+    /// ([`mbm_core::algorithms::algorithm1_asynchronous_best_response`])
+    /// with Edgeworth-cycle detection on the trace.
     OligopolyBr {
         /// Edge operation mode.
         op: EdgeOperation,
@@ -437,7 +437,7 @@ pub enum TaskOutput {
     Curve(Result<Vec<ForkPoint>, String>),
     /// Best-response dynamics `(sweeps, final residual)`.
     Br(Result<(usize, f64), String>),
-    /// Algorithm 1 price trace.
+    /// Algorithm 1 price trace (two-provider or K-provider).
     Trace(Result<PriceTrace, String>),
     /// Mixed price equilibrium.
     Mixed(Result<MixedPriceEquilibrium, String>),
@@ -449,8 +449,6 @@ pub enum TaskOutput {
     Aggregate(Result<AggregateSummary, String>),
     /// Per-provider oligopoly grid-point summary.
     Oligopoly(Result<OligopolySummary, String>),
-    /// K-leader price-dynamics trace.
-    OligopolyTrace(Result<OligopolyTrace, String>),
 }
 
 /// Bit-exact canonical key: the planner's dedup identity.
@@ -581,7 +579,7 @@ impl Task {
             Task::RaceSim { .. } => TaskOutput::Race(Err(e)),
             Task::AggregateNep { .. } => TaskOutput::Aggregate(Err(e)),
             Task::OligopolyNep { .. } => TaskOutput::Oligopoly(Err(e)),
-            Task::OligopolyBr { .. } => TaskOutput::OligopolyTrace(Err(e)),
+            Task::OligopolyBr { .. } => TaskOutput::Trace(Err(e)),
         }
     }
 
@@ -1084,18 +1082,13 @@ impl Task {
                     .map_err(|e| e.to_string()),
             ),
             Task::CspOptimalPrice { params, op, edge_price, budget, n, cfg } => {
-                let stage = ProviderStage::new(
+                let stage = ProviderStage::two_provider(
                     *params,
                     MinerPopulation::Homogeneous { budget: *budget, n: *n },
                     mode(*op),
                     *cfg,
                 );
-                let profit = |p_c: f64| {
-                    Prices::new(*edge_price, p_c)
-                        .ok()
-                        .and_then(|pr| stage.follower_demand(&pr))
-                        .map_or(f64::NAN, |agg| (p_c - params.csp().cost()) * agg.cloud)
-                };
+                let profit = |p_c: f64| stage.payoff(1, &[*edge_price, p_c]).unwrap_or(f64::NAN);
                 TaskOutput::Scalar(
                     adaptive_grid_max(profit, params.csp().cost() + 1e-6, 3.9, 41, 6)
                         .map(|r| r.x)
@@ -1131,13 +1124,16 @@ impl Task {
                 ))
             }
             Task::Algorithm1 { params, op, budget, n, init, max_rounds } => {
-                let trace = algorithm1_asynchronous_best_response(
-                    params,
-                    MinerPopulation::Homogeneous { budget: *budget, n: *n },
-                    mode(*op),
-                    *init,
-                    &AlgorithmConfig { max_rounds: *max_rounds, ..AlgorithmConfig::default() },
-                );
+                let trace = PriceVector::from_prices(init).and_then(|init| {
+                    algorithm1_asynchronous_best_response(
+                        params,
+                        &ProviderSet::from_market(params),
+                        MinerPopulation::Homogeneous { budget: *budget, n: *n },
+                        mode(*op),
+                        &init,
+                        &AlgorithmConfig { max_rounds: *max_rounds, ..AlgorithmConfig::default() },
+                    )
+                });
                 TaskOutput::Trace(trace.map_err(|e| e.to_string()))
             }
             Task::MixedPricing { params, op, budget, n, grid_points, iterations } => {
@@ -1191,7 +1187,7 @@ impl Task {
             Task::AggregateNep { .. } | Task::OligopolyNep { .. } => self.run_reported().0,
             Task::OligopolyBr { op, params, clouds, budget, n, init, max_rounds } => {
                 let trace = run_oligopoly_br(params, *op, clouds, *budget, *n, init, *max_rounds);
-                TaskOutput::OligopolyTrace(trace)
+                TaskOutput::Trace(trace)
             }
         }
     }
@@ -1230,7 +1226,6 @@ impl TaskOutput {
             TaskOutput::Race(_) => "race",
             TaskOutput::Aggregate(_) => "aggregate",
             TaskOutput::Oligopoly(_) => "oligopoly",
-            TaskOutput::OligopolyTrace(_) => "oligopoly_trace",
         }
     }
 
@@ -1249,8 +1244,7 @@ impl TaskOutput {
             | TaskOutput::Learned(Err(e))
             | TaskOutput::Race(Err(e))
             | TaskOutput::Aggregate(Err(e))
-            | TaskOutput::Oligopoly(Err(e))
-            | TaskOutput::OligopolyTrace(Err(e)) => Some(e),
+            | TaskOutput::Oligopoly(Err(e)) => Some(e),
             _ => None,
         }
     }
@@ -1280,14 +1274,14 @@ fn run_oligopoly_br(
     n: usize,
     init: &[f64],
     max_rounds: usize,
-) -> Result<OligopolyTrace, String> {
+) -> Result<PriceTrace, String> {
     let mut providers = vec![params.esp()];
     for &(cost, cap) in clouds {
         providers.push(Provider::new(cost, cap).map_err(|e| e.to_string())?);
     }
     let set = ProviderSet::new(providers).map_err(|e| e.to_string())?;
     let init = PriceVector::new(init).map_err(|e| e.to_string())?;
-    oligopoly_best_response_dynamics(
+    algorithm1_asynchronous_best_response(
         params,
         &set,
         MinerPopulation::Homogeneous { budget, n },
@@ -1388,12 +1382,7 @@ mod tests {
             params: crate::market::leader_ne_market(),
             budgets: vec![BUDGET; N_MINERS],
             cfg: StackelbergConfig {
-                exec: ExecConfig {
-                    threads: 8,
-                    cache_capacity: 1 << 12,
-                    telemetry: true,
-                    warm_start: false,
-                },
+                exec: ExecConfig { threads: 8, cache_capacity: 1 << 12, telemetry: true },
                 ..StackelbergConfig::default()
             },
         };

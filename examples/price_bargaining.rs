@@ -10,6 +10,7 @@
 //! Run with `cargo run --release --example price_bargaining`.
 
 use mobile_blockchain_mining::core::algorithms::{algorithm2_price_bargaining, AlgorithmConfig};
+use mobile_blockchain_mining::core::market::{PriceVector, ProviderSet};
 use mobile_blockchain_mining::core::params::Prices;
 use mobile_blockchain_mining::core::presets;
 use mobile_blockchain_mining::core::scenario::EdgeOperation;
@@ -20,20 +21,27 @@ use mobile_blockchain_mining::exp::{run_tasks, Task};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let population = MinerPopulation::Homogeneous { budget: 200.0, n: 5 };
-    let start = Prices::new(10.0, 4.0)?;
+    let start = PriceVector::new(&[10.0, 4.0])?;
     let cfg = AlgorithmConfig::default();
 
     // 1. Standalone-mode bargaining in the well-posed parameter region
     //    (the traced diagnostic itself; not a market solve).
     let params = presets::leader_ne_market()?;
-    let trace =
-        algorithm2_price_bargaining(&params, population.clone(), Mode::Standalone, start, &cfg)?;
+    let providers = ProviderSet::from_market(&params);
+    let trace = algorithm2_price_bargaining(
+        &params,
+        &providers,
+        population.clone(),
+        Mode::Standalone,
+        &start,
+        &cfg,
+    )?;
     println!("Algorithm 2 (standalone, C_e = 7): converged = {}", trace.converged);
     println!("round   P_e      P_c      E        V_e      V_c");
     for (k, r) in trace.rounds.iter().enumerate() {
         println!(
             "{k:>5}  {:>7.3}  {:>7.3}  {:>7.3}  {:>7.3}  {:>7.3}",
-            r.prices.edge, r.prices.cloud, r.demand.edge, r.profits.0, r.profits.1
+            r.prices[0], r.prices[1], r.demand[0], r.profits[0], r.profits[1]
         );
     }
 

@@ -11,9 +11,8 @@ use mbm_core::market::ProviderSet;
 use mbm_core::params::{MarketParams, Prices, Provider};
 use mbm_core::request::Request;
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
-use mbm_core::sp::oligopoly::solve_oligopoly;
 use mbm_core::sp::stage::Mode;
-use mbm_core::stackelberg::{solve_connected, solve_standalone, ExecConfig, StackelbergConfig};
+use mbm_core::stackelberg::{solve_connected, solve_oligopoly, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
 use mbm_par::Pool;
 
@@ -51,7 +50,7 @@ proptest! {
         let reference = solve_connected(&params, &budgets, &serial).ok();
         for threads in [2usize, 4] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false, warm_start: false },
+                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false },
                 ..serial
             };
             let got = solve_connected(&params, &budgets, &cfg).ok();
@@ -71,13 +70,13 @@ proptest! {
         let params = market(c_e, beta, 0.8);
         let budgets = [b0, b0 + 40.0, b0 + 90.0];
         let base = StackelbergConfig {
-            exec: ExecConfig { threads: 1, cache_capacity: 1, telemetry: false, warm_start: false },
+            exec: ExecConfig { threads: 1, cache_capacity: 1, telemetry: false },
             ..StackelbergConfig::default()
         };
         let reference = solve_connected(&params, &budgets, &base).ok();
         for (threads, capacity) in [(1usize, 1usize << 16), (4, 1), (4, 1 << 16)] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false, warm_start: false },
+                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
                 ..base
             };
             let got = solve_connected(&params, &budgets, &cfg).ok();
@@ -88,55 +87,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The K-provider leader solve at K = 2 is bitwise the legacy
-    /// two-provider pipeline, in both follower modes, at 1/2/8 pool
-    /// threads: generalizing the price pair to a vector must not move a
-    /// bit of the equilibrium, profits, round count or residual.
-    #[test]
-    fn k2_oligopoly_solve_is_bitwise_the_legacy_pipeline(
-        c_e in 8.0f64..12.0,
-        beta in 0.1f64..0.4,
-        b0 in 60.0f64..140.0,
-    ) {
-        let params = market(c_e, beta, 0.8);
-        let budgets = [b0, b0 + 40.0, b0 + 90.0];
-        let set = ProviderSet::from_market(&params);
-        for threads in [1usize, 2, 8] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false, warm_start: false },
-                ..StackelbergConfig::default()
-            };
-            for mode in [Mode::Connected, Mode::Standalone] {
-                let sol = solve_oligopoly(&params, &set, &budgets, mode, &cfg).ok();
-                let legacy = match mode {
-                    Mode::Connected => solve_connected(&params, &budgets, &cfg).ok(),
-                    Mode::Standalone => solve_standalone(&params, &budgets, &cfg).ok(),
-                };
-                match (sol, legacy) {
-                    (None, None) => {}
-                    (Some(sol), Some(legacy)) => {
-                        prop_assert_eq!(sol.prices.len(), 2);
-                        prop_assert_eq!(sol.prices[0].to_bits(), legacy.prices.edge.to_bits());
-                        prop_assert_eq!(sol.prices[1].to_bits(), legacy.prices.cloud.to_bits());
-                        prop_assert_eq!(&sol.equilibrium, &legacy.equilibrium);
-                        prop_assert_eq!(sol.profits[0].to_bits(), legacy.esp_profit.to_bits());
-                        prop_assert_eq!(sol.profits[1].to_bits(), legacy.csp_profit.to_bits());
-                        prop_assert_eq!(sol.leader_rounds, legacy.leader_rounds);
-                        prop_assert_eq!(
-                            sol.leader_residual.to_bits(),
-                            legacy.leader_residual.to_bits()
-                        );
-                    }
-                    (sol, legacy) => prop_assert!(
-                        false,
-                        "K = 2 and legacy solves must fail together: \
-                         oligopoly = {sol:?}, legacy = {legacy:?}"
-                    ),
-                }
-            }
-        }
-    }
 
     /// A K = 3 oligopoly solve is a pure function of the market: thread
     /// count and cache capacity must not move a single bit.
@@ -156,13 +106,13 @@ proptest! {
         ])
         .unwrap();
         let base = StackelbergConfig {
-            exec: ExecConfig { threads: 1, cache_capacity: 0, telemetry: false, warm_start: false },
+            exec: ExecConfig { threads: 1, cache_capacity: 0, telemetry: false },
             ..StackelbergConfig::default()
         };
         let reference = solve_oligopoly(&params, &set, &budgets, Mode::Connected, &base).ok();
         for (threads, capacity) in [(2usize, 0usize), (8, 0), (1, 512), (8, 512)] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false, warm_start: false },
+                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
                 ..base
             };
             let got = solve_oligopoly(&params, &set, &budgets, Mode::Connected, &cfg).ok();

@@ -8,7 +8,7 @@
 //! tests exercise the one solve path end to end.
 
 use mbm_core::analysis::MarketReport;
-use mbm_core::params::{MarketParams, Prices, Provider};
+use mbm_core::params::{MarketParams, Provider};
 use mbm_core::scenario::{EdgeOperation, ScenarioOutcome};
 use mbm_core::sp::pricing::csp_best_response_budget_binding;
 use mbm_core::stackelberg::{LeaderSchedule, StackelbergConfig};
@@ -63,29 +63,27 @@ fn leader_prices_are_mutual_best_responses() {
     assert!((sol.prices.edge - p.esp().price_cap()).abs() < 0.1);
     // CSP near the stationary point of its profit: compare against a
     // fine 1-D re-optimization around the solution.
+    use mbm_core::market::PriceVector;
     use mbm_core::sp::stage::{Mode, ProviderStage};
     use mbm_core::sp::MinerPopulation;
     use mbm_core::subgame::SubgameConfig;
-    let stage = ProviderStage::new(
+    let stage = ProviderStage::two_provider(
         p,
         MinerPopulation::Homogeneous { budget: 200.0, n: 5 },
         Mode::Connected,
         SubgameConfig::default(),
     );
-    let base = stage
-        .follower_demand(&sol.prices)
-        .map(|agg| (sol.prices.cloud - p.csp().cost()) * agg.cloud)
-        .unwrap();
+    let csp_profit = |cloud: f64| {
+        let trial = PriceVector::new(&[sol.prices.edge, cloud]).unwrap();
+        stage.follower_demand(&trial).map(|agg| (cloud - p.csp().cost()) * agg.cloud)
+    };
+    let base = csp_profit(sol.prices.cloud).unwrap();
     for delta in [-0.4, -0.2, 0.2, 0.4] {
-        let trial = Prices::new(sol.prices.edge, sol.prices.cloud + delta).unwrap();
-        let profit = stage
-            .follower_demand(&trial)
-            .map(|agg| (trial.cloud - p.csp().cost()) * agg.cloud)
-            .unwrap_or(f64::NEG_INFINITY);
+        let cloud = sol.prices.cloud + delta;
+        let profit = csp_profit(cloud).unwrap_or(f64::NEG_INFINITY);
         assert!(
             profit <= base + 0.05 * base.abs(),
-            "CSP could deviate to {} for {profit} > {base}",
-            trial.cloud
+            "CSP could deviate to {cloud} for {profit} > {base}"
         );
     }
 }

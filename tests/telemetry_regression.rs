@@ -30,9 +30,8 @@ use std::path::PathBuf;
 use mbm_core::market::ProviderSet;
 use mbm_core::params::{MarketParams, Provider};
 use mbm_core::scenario::EdgeOperation;
-use mbm_core::sp::oligopoly::solve_oligopoly;
 use mbm_core::sp::stage::Mode;
-use mbm_core::stackelberg::{solve_connected, ExecConfig, StackelbergConfig};
+use mbm_core::stackelberg::{solve_connected, solve_oligopoly, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
 use mbm_exp::executor::execute;
 use mbm_exp::planner::{plan, PlannedTask};
@@ -60,12 +59,7 @@ fn reference_pipeline_telemetry_matches_golden() {
     rec.reset();
     rec.set_enabled(true);
     let cfg = StackelbergConfig {
-        exec: ExecConfig {
-            threads: 1,
-            cache_capacity: 1 << 16,
-            telemetry: true,
-            warm_start: false,
-        },
+        exec: ExecConfig { threads: 1, cache_capacity: 1 << 16, telemetry: true },
         ..StackelbergConfig::default()
     };
     let params = reference_market();

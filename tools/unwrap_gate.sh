@@ -34,7 +34,10 @@ FILES=(
   crates/core/src/error.rs
   crates/core/src/params.rs
   crates/core/src/market.rs
-  crates/core/src/sp/oligopoly.rs
+  crates/core/src/stackelberg.rs
+  crates/core/src/algorithms.rs
+  crates/core/src/sp/cache.rs
+  crates/core/src/sp/mixed.rs
   crates/core/src/sp/stage.rs
   crates/store/src/lib.rs
   crates/numerics/src/vi.rs
