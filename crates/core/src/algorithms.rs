@@ -18,8 +18,8 @@ use mbm_numerics::optimize::adaptive_grid_max;
 
 use crate::error::MiningGameError;
 use crate::market::{PriceVector, ProviderSet};
-use crate::params::MarketParams;
-use crate::sp::stage::{Mode, ProviderStage};
+use crate::params::{EdgeOperation, MarketParams};
+use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
 use crate::subgame::SubgameConfig;
 
@@ -118,7 +118,7 @@ pub fn algorithm1_asynchronous_best_response(
     params: &MarketParams,
     providers: &ProviderSet,
     population: MinerPopulation,
-    mode: Mode,
+    mode: EdgeOperation,
     init: &PriceVector,
     cfg: &AlgorithmConfig,
 ) -> Result<PriceTrace, MiningGameError> {
@@ -137,7 +137,7 @@ pub fn algorithm2_price_bargaining(
     params: &MarketParams,
     providers: &ProviderSet,
     population: MinerPopulation,
-    mode: Mode,
+    mode: EdgeOperation,
     init: &PriceVector,
     cfg: &AlgorithmConfig,
 ) -> Result<PriceTrace, MiningGameError> {
@@ -263,7 +263,7 @@ mod tests {
             &p,
             &ProviderSet::from_market(&p),
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             &pair(10.0, 4.0),
             &AlgorithmConfig::default(),
         )
@@ -287,13 +287,20 @@ mod tests {
             &p,
             &set,
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             &init,
             &cfg,
         )
         .unwrap();
-        let a2 = algorithm2_price_bargaining(&p, &set, population(), Mode::Connected, &init, &cfg)
-            .unwrap();
+        let a2 = algorithm2_price_bargaining(
+            &p,
+            &set,
+            population(),
+            EdgeOperation::Connected,
+            &init,
+            &cfg,
+        )
+        .unwrap();
         assert!(a2.converged);
         let (f1, f2) = (a1.final_prices(), a2.final_prices());
         assert!((f1[0] - f2[0]).abs() < 0.2, "{f1:?} vs {f2:?}");
@@ -307,7 +314,7 @@ mod tests {
             &p,
             &ProviderSet::from_market(&p),
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             &pair(6.0, 3.0),
             &AlgorithmConfig { max_rounds: 60, ..Default::default() },
         )
@@ -324,7 +331,7 @@ mod tests {
             &p,
             &ProviderSet::from_market(&p),
             population(),
-            Mode::Standalone,
+            EdgeOperation::Standalone,
             &pair(10.0, 4.0),
             &AlgorithmConfig::default(),
         )
@@ -353,7 +360,7 @@ mod tests {
             &p,
             &set,
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             &PriceVector::new(&[6.0, 3.0, 3.0]).unwrap(),
             &AlgorithmConfig { max_rounds: 25, ..Default::default() },
         )
@@ -377,7 +384,7 @@ mod tests {
                 &p,
                 &three_provider_set(),
                 population(),
-                Mode::Connected,
+                EdgeOperation::Connected,
                 &pair(9.0, 3.0),
                 &AlgorithmConfig::default(),
             )

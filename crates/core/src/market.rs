@@ -209,11 +209,11 @@ impl PriceVector {
     }
 
     /// FNV-1a over all `K` price bit patterns — the continuation/grid
-    /// identity of this price point (see
-    /// [`crate::solver::continuation::price_key`]).
+    /// identity of this price point. Folding `to_bits()` bytes (not values)
+    /// keeps the key one-ulp sensitive.
     #[must_use]
     pub fn fnv_key(&self) -> u64 {
-        crate::solver::continuation::price_key(self.as_slice())
+        crate::solver::bits_fingerprint(self.as_slice().iter().copied())
     }
 
     /// Splits aggregate follower demand `(E, C)` across the `K` providers:

@@ -80,6 +80,17 @@ impl Prices {
     }
 }
 
+/// How the ESP operates, which decides the follower game: a Nash game
+/// (Problem 1a) when connected, a GNEP under the shared capacity `E_max`
+/// (Problem 1c) when standalone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EdgeOperation {
+    /// ESP connected to the CSP (transfer probability `1 − h`).
+    Connected,
+    /// Standalone ESP with capacity `E_max`.
+    Standalone,
+}
+
 /// Validates an announced price pair (both finite and strictly positive).
 ///
 /// The fields of [`Prices`] are public, so a pair that bypassed

@@ -50,7 +50,7 @@
 use mbm_par::Pool;
 
 use crate::error::MiningGameError;
-use crate::params::{MarketParams, Prices};
+use crate::params::{EdgeOperation, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
 use crate::subgame::connected::{analytic_best_response, BestResponseInputs};
 use crate::subgame::homogeneous::homogeneous_core;
@@ -60,16 +60,6 @@ use crate::winning::{utility_connected_at, utility_standalone_at};
 use super::report::{ConfigOverride, Overrides};
 use super::workspace::SoaPopulation;
 use super::{salvageable, SolveWorkspace, TierRun};
-
-/// Which follower objective the aggregate sweep iterates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggregateMode {
-    /// Problem 1a: connected-mode NEP (`h` from the market, no edge cap).
-    Connected,
-    /// Problem 1c: standalone objective (`h = 1`) under the residual edge
-    /// capacity `E_max − E₋ᵢ`.
-    Standalone,
-}
 
 /// Fixed chunk width of the per-miner fan-out. A constant — never derived
 /// from the pool size — so chunk boundaries, chunk partial sums, and the
@@ -105,12 +95,12 @@ fn chunked_sum(xs: &[f64]) -> f64 {
 /// (`b/(4P_e), b/(4P_c)` per miner — mirroring
 /// [`crate::subgame::initial_profile_into`], including the standalone
 /// rescale to `0.95·E_max/Σeᵢ` when the start violates the capacity).
-fn init_population(mode: AggregateMode, soa: &mut SoaPopulation, prices: &Prices, e_max: f64) {
+fn init_population(mode: EdgeOperation, soa: &mut SoaPopulation, prices: &Prices, e_max: f64) {
     for i in 0..soa.budgets.len() {
         soa.edges[i] = soa.budgets[i] / (4.0 * prices.edge);
         soa.clouds[i] = soa.budgets[i] / (4.0 * prices.cloud);
     }
-    if mode == AggregateMode::Standalone {
+    if mode == EdgeOperation::Standalone {
         let e_total: f64 = soa.edges.iter().sum();
         if e_total > e_max {
             let scale = e_max / e_total * 0.95;
@@ -128,7 +118,7 @@ fn init_population(mode: AggregateMode, soa: &mut SoaPopulation, prices: &Prices
 /// damped transient the full population sweep cannot; a non-converged
 /// surrogate still returns its last iterate (it only has to be *near*).
 fn symmetric_surrogate(
-    mode: AggregateMode,
+    mode: EdgeOperation,
     params: &MarketParams,
     prices: &Prices,
     mean_budget: f64,
@@ -137,10 +127,10 @@ fn symmetric_surrogate(
     tol: f64,
 ) -> Option<Request> {
     match mode {
-        AggregateMode::Connected => {
+        EdgeOperation::Connected => {
             homogeneous_core(params, prices, mean_budget, n).ok().map(|(r, _)| r)
         }
-        AggregateMode::Standalone => {
+        EdgeOperation::Standalone => {
             let m = (n - 1) as f64;
             let e_max = params.e_max();
             let mut x = Request {
@@ -185,7 +175,7 @@ fn symmetric_surrogate(
 /// polish. Entirely serial and thread-count independent. Falls back to
 /// [`init_population`] when the surrogate or any seed response fails.
 fn seed_population(
-    mode: AggregateMode,
+    mode: EdgeOperation,
     soa: &mut SoaPopulation,
     params: &MarketParams,
     prices: &Prices,
@@ -203,12 +193,12 @@ fn seed_population(
     let e_others = (m * sym.edge).max(0.0);
     let s_others = (m * sym.total()).max(0.0);
     let h = match mode {
-        AggregateMode::Connected => params.edge_availability(),
-        AggregateMode::Standalone => 1.0,
+        EdgeOperation::Connected => params.edge_availability(),
+        EdgeOperation::Standalone => 1.0,
     };
     let edge_cap = match mode {
-        AggregateMode::Connected => None,
-        AggregateMode::Standalone => Some((e_max - e_others).max(0.0)),
+        EdgeOperation::Connected => None,
+        EdgeOperation::Standalone => Some((e_max - e_others).max(0.0)),
     };
     for i in 0..n {
         let br = analytic_best_response(&BestResponseInputs {
@@ -232,7 +222,7 @@ fn seed_population(
             }
         }
     }
-    if mode == AggregateMode::Standalone {
+    if mode == EdgeOperation::Standalone {
         let e_total: f64 = soa.edges.iter().sum();
         if e_total > e_max {
             let scale = e_max / e_total * 0.95;
@@ -253,7 +243,7 @@ fn seed_population(
 /// carries its bookkeeping.
 #[allow(clippy::too_many_arguments)] // iteration budget plus the supervision salvage slot
 fn aggregate_sweep_core(
-    mode: AggregateMode,
+    mode: EdgeOperation,
     params: &MarketParams,
     prices: &Prices,
     soa: &mut SoaPopulation,
@@ -270,8 +260,8 @@ fn aggregate_sweep_core(
     let reward = params.reward();
     let beta = params.fork_rate();
     let h = match mode {
-        AggregateMode::Connected => params.edge_availability(),
-        AggregateMode::Standalone => 1.0,
+        EdgeOperation::Connected => params.edge_availability(),
+        EdgeOperation::Standalone => 1.0,
     };
     let e_max = params.e_max();
     let mut residual = f64::INFINITY;
@@ -305,8 +295,8 @@ fn aggregate_sweep_core(
                     e_others,
                     s_others: ((e_tot + c_tot) - (e_i + c_i)).max(0.0),
                     edge_cap: match mode {
-                        AggregateMode::Connected => None,
-                        AggregateMode::Standalone => Some((e_max - e_others).max(0.0)),
+                        EdgeOperation::Connected => None,
+                        EdgeOperation::Standalone => Some((e_max - e_others).max(0.0)),
                     },
                 };
                 let br = analytic_best_response(&inp)?;
@@ -355,7 +345,7 @@ fn aggregate_sweep_core(
 /// [`Aggregates::of`]), and the per-miner utilities evaluated `O(1)` each
 /// against those aggregates.
 fn fill_outputs(
-    mode: AggregateMode,
+    mode: EdgeOperation,
     params: &MarketParams,
     prices: &Prices,
     soa: &SoaPopulation,
@@ -372,11 +362,11 @@ fn fill_outputs(
     let agg = Aggregates::of(requests);
     utilities.clear();
     match mode {
-        AggregateMode::Connected => {
+        EdgeOperation::Connected => {
             utilities
                 .extend(requests.iter().map(|r| utility_connected_at(r, &agg, prices, params)));
         }
-        AggregateMode::Standalone => {
+        EdgeOperation::Standalone => {
             utilities
                 .extend(requests.iter().map(|r| utility_standalone_at(r, &agg, prices, params)));
         }
@@ -389,7 +379,7 @@ fn fill_outputs(
 /// into the workspace (for salvage, the last complete iterate).
 #[allow(clippy::too_many_arguments)] // the tier-call surface: config + supervision + salvage slots
 pub(crate) fn run_aggregate(
-    mode: AggregateMode,
+    mode: EdgeOperation,
     params: &MarketParams,
     prices: &Prices,
     budgets: &[f64],
@@ -401,11 +391,7 @@ pub(crate) fn run_aggregate(
     salvage: &mut Option<TierRun>,
 ) -> Result<TierRun, MiningGameError> {
     let n = budgets.len();
-    let omega0 = match mode {
-        AggregateMode::Connected => cfg.effective_damping_symmetric_connected(n),
-        AggregateMode::Standalone => cfg.effective_damping_symmetric_standalone(n),
-    };
-    let omega = omega0 * damping_scale;
+    let omega = super::symmetric_damping(cfg, mode, n) * damping_scale;
     if omega != cfg.damping {
         overrides.damping = Some(ConfigOverride { requested: cfg.damping, effective: omega });
     }
@@ -556,11 +542,11 @@ mod tests {
         let prices = Prices::new(4.0, 2.0).unwrap();
         let mut soa = SoaPopulation::default();
         soa.stage(&[400.0, 400.0]);
-        init_population(AggregateMode::Standalone, &mut soa, &prices, 10.0);
+        init_population(EdgeOperation::Standalone, &mut soa, &prices, 10.0);
         let e_total: f64 = soa.edges.iter().sum();
         assert!(e_total <= 10.0, "start violates the shared capacity: {e_total}");
         // Connected mode leaves the interior start untouched.
-        init_population(AggregateMode::Connected, &mut soa, &prices, 10.0);
+        init_population(EdgeOperation::Connected, &mut soa, &prices, 10.0);
         assert_eq!(soa.edges[0], 400.0 / 16.0);
     }
 }

@@ -42,21 +42,19 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use mbm_game::gnep::{gnep_residual_in, ProductSet};
-use mbm_numerics::projection::{BudgetSet, ConvexSet};
 use mbm_store::{OpenSummary, Store, StoreError, StoreOptions};
 
-use crate::params::{MarketParams, Prices};
+use crate::params::{EdgeOperation, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
-use crate::subgame::connected::ConnectedMinerGame;
-use crate::subgame::standalone::StandaloneMinerGame;
-use crate::subgame::SubgameConfig;
+use crate::subgame::equilibrium_certificate;
 
 use super::report::{
     ConfigOverride, FallbackHop, Overrides, SolveMethod, SolveMode, SolveReport, SolveStatus,
 };
 use super::workspace::{ensure_pairs, SolveWorkspace};
-use super::{continuation, FollowerProblem, Solved, TierRun};
+use super::{
+    bits_equal, bits_fingerprint, continuation, per_mode, Budgets, FollowerProblem, Solved, TierRun,
+};
 
 /// Version of the key layout. Bump whenever the key word sequence *or the
 /// solver behaviour behind it* changes, so records written by an older
@@ -308,65 +306,42 @@ impl MemoMode {
     /// lookup and the dynamic chains key on whole population distributions
     /// — both are excluded by policy.
     fn of(problem: &FollowerProblem<'_>) -> Option<Self> {
-        match problem {
-            FollowerProblem::Connected { .. } => Some(MemoMode::Connected),
-            FollowerProblem::Standalone { .. } => Some(MemoMode::Standalone),
-            FollowerProblem::AggregateConnected { .. } => Some(MemoMode::AggregateConnected),
-            FollowerProblem::AggregateStandalone { .. } => Some(MemoMode::AggregateStandalone),
-            FollowerProblem::SymmetricConnected { .. } => Some(MemoMode::SymmetricConnected),
-            FollowerProblem::SymmetricStandalone { .. } => Some(MemoMode::SymmetricStandalone),
+        use MemoMode::*;
+        Some(match *problem {
+            FollowerProblem::Full { mode, .. } => per_mode(mode, Connected, Standalone),
+            FollowerProblem::Aggregate { mode, .. } => {
+                per_mode(mode, AggregateConnected, AggregateStandalone)
+            }
+            FollowerProblem::Symmetric { mode, .. } => {
+                per_mode(mode, SymmetricConnected, SymmetricStandalone)
+            }
             FollowerProblem::Homogeneous { .. }
             | FollowerProblem::Dynamic { .. }
-            | FollowerProblem::Continuous { .. } => None,
+            | FollowerProblem::Continuous { .. } => return None,
+        })
+    }
+
+    /// The edge mode of the memoized game.
+    fn edge_operation(self) -> EdgeOperation {
+        match self {
+            MemoMode::Connected | MemoMode::AggregateConnected | MemoMode::SymmetricConnected => {
+                EdgeOperation::Connected
+            }
+            MemoMode::Standalone
+            | MemoMode::AggregateStandalone
+            | MemoMode::SymmetricStandalone => EdgeOperation::Standalone,
         }
     }
 
     /// Connected-mode game (otherwise standalone, with shared edge capacity).
     fn is_connected(self) -> bool {
-        matches!(
-            self,
-            MemoMode::Connected | MemoMode::AggregateConnected | MemoMode::SymmetricConnected
-        )
+        self.edge_operation() == EdgeOperation::Connected
     }
 
     /// Heterogeneous modes carry the full population in the payload (bitwise
     /// collision confirm + replay data); symmetric modes carry the pair only.
     fn is_heterogeneous(self) -> bool {
         !matches!(self, MemoMode::SymmetricConnected | MemoMode::SymmetricStandalone)
-    }
-}
-
-fn budget_bits_hash(budgets: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in budgets {
-        for byte in b.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// The population behind a memoizable problem: either the heterogeneous
-/// budget slice or a uniform `(budget, n)`.
-enum Population<'a> {
-    Slice(&'a [f64]),
-    Uniform { budget: f64, n: usize },
-}
-
-fn population<'a>(problem: &FollowerProblem<'a>) -> Option<(Population<'a>, SubgameConfig)> {
-    match problem {
-        FollowerProblem::Connected { budgets, cfg }
-        | FollowerProblem::Standalone { budgets, cfg }
-        | FollowerProblem::AggregateConnected { budgets, cfg, .. }
-        | FollowerProblem::AggregateStandalone { budgets, cfg, .. } => {
-            Some((Population::Slice(budgets), *cfg))
-        }
-        FollowerProblem::SymmetricConnected { budget, n, cfg }
-        | FollowerProblem::SymmetricStandalone { budget, n, cfg } => {
-            Some((Population::Uniform { budget: *budget, n: *n }, *cfg))
-        }
-        _ => None,
     }
 }
 
@@ -382,7 +357,7 @@ pub(super) fn active_key(
         return None;
     }
     let mode = MemoMode::of(problem)?;
-    let (pop, cfg) = population(problem)?;
+    let (_, pop, cfg) = problem.population()?;
     let mut key = Vec::with_capacity(17);
     key.push(KEY_SCHEMA);
     key.push(mode as u64);
@@ -404,11 +379,11 @@ pub(super) fn active_key(
     }
     key.push(cfg.max_iter as u64);
     match pop {
-        Population::Slice(budgets) => {
+        Budgets::Slice(budgets) => {
             key.push(budgets.len() as u64);
-            key.push(budget_bits_hash(budgets));
+            key.push(bits_fingerprint(budgets.iter().copied()));
         }
-        Population::Uniform { budget, n } => {
+        Budgets::Uniform { budget, n } => {
             key.push(n as u64);
             key.push(budget.to_bits());
         }
@@ -744,48 +719,12 @@ fn feasible(
     aggregates.edge.is_finite() && aggregates.cloud.is_finite()
 }
 
-/// Recomputes the GNEP/VI natural residual of `requests` for the stored
-/// problem, reusing the workspace's profile and gnep scratch. Returns
-/// `None` when the game cannot even be constructed from the stored data
-/// (treated as a rejection by the caller).
-fn natural_residual(
-    mode: MemoMode,
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    requests: &[Request],
-    ws: &mut SolveWorkspace,
-) -> Option<f64> {
-    let SolveWorkspace { gnep, init, flat, .. } = ws;
-    flat.clear();
-    for req in requests {
-        flat.push(req.edge);
-        flat.push(req.cloud);
-    }
-    let profile = ensure_pairs(init, flat).ok()?;
-    if mode.is_connected() {
-        let game = ConnectedMinerGame::new(*params, *prices, budgets.to_vec()).ok()?;
-        let sets: Vec<Box<dyn ConvexSet + Send + Sync>> = budgets
-            .iter()
-            .map(|&b| {
-                BudgetSet::new(vec![prices.edge, prices.cloud], b)
-                    .map(|s| Box::new(s) as Box<dyn ConvexSet + Send + Sync>)
-            })
-            .collect::<Result<_, _>>()
-            .ok()?;
-        let product = ProductSet::new(sets).ok()?;
-        Some(gnep_residual_in(&game, &product, profile, gnep))
-    } else {
-        let game = StandaloneMinerGame::new(*params, *prices, budgets.to_vec()).ok()?;
-        let shared = game.shared_set().ok()?;
-        Some(gnep_residual_in(&game, &shared, profile, gnep))
-    }
-}
-
-/// Certificate computed over the record's stored representation. At append
-/// time this is what gets persisted as `golden_cert`; at hit time the same
-/// computation must land within tolerance of it. NaN when the population
-/// exceeds the recheck cap (the hit path then applies feasibility only).
+/// The [`equilibrium_certificate`] of the record's stored (clamped) profile,
+/// over the workspace's profile and gnep scratch. At append time this is
+/// what gets persisted as `golden_cert`; at hit time the same computation
+/// must land within tolerance of it. NaN when the population exceeds the
+/// recheck cap (the hit path then applies feasibility only) or the stored
+/// data does not even build the game (the hit path then rejects).
 fn golden_certificate(
     mode: MemoMode,
     cfg: &MemoConfig,
@@ -798,7 +737,17 @@ fn golden_certificate(
     if !matches!(cfg.golden, GoldenCheck::Residual { .. }) || budgets.len() > cfg.recheck_cap {
         return f64::NAN;
     }
-    natural_residual(mode, params, prices, budgets, requests, ws).unwrap_or(f64::NAN)
+    let SolveWorkspace { gnep, init, flat, .. } = ws;
+    flat.clear();
+    for req in requests {
+        flat.push(req.edge);
+        flat.push(req.cloud);
+    }
+    ensure_pairs(init, flat)
+        .and_then(|profile| {
+            equilibrium_certificate(mode.edge_operation(), params, prices, budgets, profile, gnep)
+        })
+        .unwrap_or(f64::NAN)
 }
 
 // ---------------------------------------------------------------------------
@@ -819,11 +768,10 @@ fn stored_budgets<'a>(
     stored: &'a StoredSolve,
     uniform: &'a mut Vec<f64>,
 ) -> &'a [f64] {
-    match problem {
-        FollowerProblem::SymmetricConnected { budget, n, .. }
-        | FollowerProblem::SymmetricStandalone { budget, n, .. } => {
+    match problem.population() {
+        Some((_, Budgets::Uniform { budget, n }, _)) => {
             uniform.clear();
-            uniform.resize(*n, *budget);
+            uniform.resize(n, budget);
             uniform.as_slice()
         }
         _ => &stored.budgets,
@@ -882,22 +830,15 @@ pub(super) fn consult(
 
     // Shape + bitwise-population confirm: a key-hash collision (or a record
     // from a differently-shaped problem) must read as a miss, not a hit.
-    let matches_problem = match problem {
-        FollowerProblem::Connected { budgets, .. }
-        | FollowerProblem::Standalone { budgets, .. }
-        | FollowerProblem::AggregateConnected { budgets, .. }
-        | FollowerProblem::AggregateStandalone { budgets, .. } => {
+    let matches_problem = match problem.population() {
+        Some((_, Budgets::Slice(budgets), _)) => {
             stored.n == budgets.len()
-                && stored.budgets.len() == budgets.len()
-                && stored.budgets.iter().zip(*budgets).all(|(a, b)| a.to_bits() == b.to_bits())
+                && bits_equal(&stored.budgets, budgets)
                 && stored.requests.len() == budgets.len()
                 && stored.utilities.len() == budgets.len()
         }
-        FollowerProblem::SymmetricConnected { n, .. }
-        | FollowerProblem::SymmetricStandalone { n, .. } => {
-            stored.n == *n && stored.per_miner.is_some()
-        }
-        _ => false,
+        Some((_, Budgets::Uniform { n, .. }, _)) => stored.n == n && stored.per_miner.is_some(),
+        None => false,
     };
     if !matches_problem {
         COLLISIONS.fetch_add(1, Ordering::Relaxed);
@@ -920,18 +861,23 @@ pub(super) fn consult(
         }
         if let GoldenCheck::Residual { tol } = handle.cfg.golden {
             if budgets_v.len() <= handle.cfg.recheck_cap {
-                let recomputed = natural_residual(mode, params, prices, budgets_v, requests_v, ws);
+                let recomputed = golden_certificate(
+                    mode,
+                    &handle.cfg,
+                    params,
+                    prices,
+                    budgets_v,
+                    requests_v,
+                    ws,
+                );
                 let threshold = if stored.golden_cert.is_finite() {
                     tol.max(stored.golden_cert * 2.0)
                 } else {
                     tol
                 };
-                match recomputed {
-                    Some(r) if r.is_finite() && r <= threshold => {}
-                    _ => {
-                        reject("store.rejected.residual");
-                        return None;
-                    }
+                if !(recomputed.is_finite() && recomputed <= threshold) {
+                    reject("store.rejected.residual");
+                    return None;
                 }
             }
         }
@@ -985,32 +931,29 @@ pub(super) fn record(
         mbm_obs::global().incr("store.skipped");
         return;
     }
-    let (budgets, requests, utilities): (Vec<f64>, Vec<Request>, Vec<f64>) = match problem {
-        FollowerProblem::Connected { budgets, .. }
-        | FollowerProblem::Standalone { budgets, .. }
-        | FollowerProblem::AggregateConnected { budgets, .. }
-        | FollowerProblem::AggregateStandalone { budgets, .. } => {
-            if ws.requests.len() != budgets.len() || ws.utilities.len() != budgets.len() {
-                return; // workspace does not describe this solve; don't persist
+    let (budgets, requests, utilities): (Vec<f64>, Vec<Request>, Vec<f64>) =
+        match problem.population() {
+            Some((_, Budgets::Slice(budgets), _)) => {
+                if ws.requests.len() != budgets.len() || ws.utilities.len() != budgets.len() {
+                    return; // workspace does not describe this solve; don't persist
+                }
+                (budgets.to_vec(), ws.requests.clone(), ws.utilities.clone())
             }
-            (budgets.to_vec(), ws.requests.clone(), ws.utilities.clone())
-        }
-        FollowerProblem::SymmetricConnected { budget, n, .. }
-        | FollowerProblem::SymmetricStandalone { budget, n, .. } => {
-            // Symmetric solves that escalated past the symmetric fixed
-            // point leave per-miner vectors in the workspace; a hit would
-            // have to reproduce those bitwise. Only the tier-1 fixed point
-            // (which clears the workspace, exactly as the hit path does)
-            // is persisted.
-            if solved.per_miner.is_none()
-                || solved.report.method != SolveMethod::SymmetricFixedPoint
-            {
-                return;
+            Some((_, Budgets::Uniform { budget, n }, _)) => {
+                // Symmetric solves that escalated past the symmetric fixed
+                // point leave per-miner vectors in the workspace; a hit would
+                // have to reproduce those bitwise. Only the tier-1 fixed point
+                // (which clears the workspace, exactly as the hit path does)
+                // is persisted.
+                if solved.per_miner.is_none()
+                    || solved.report.method != SolveMethod::SymmetricFixedPoint
+                {
+                    return;
+                }
+                (vec![budget; n], Vec::new(), Vec::new())
             }
-            (vec![*budget; *n], Vec::new(), Vec::new())
-        }
-        _ => return,
-    };
+            None => return,
+        };
     let expanded_pairs: Vec<Request>;
     let request_view: &[Request] = if requests.is_empty() {
         match solved.per_miner {
@@ -1170,7 +1113,7 @@ mod tests {
         let params = MarketParams::builder().build().expect("defaults build");
         let prices = Prices { edge: 4.0, cloud: 2.0 };
         let budgets = [100.0, 150.0];
-        let cfg = SubgameConfig::default();
+        let cfg = crate::subgame::SubgameConfig::default();
         let path = std::env::temp_dir()
             .join(format!("mbm_memo_golden_reject_{}.mbms", std::process::id()));
         let _ = std::fs::remove_file(&path);

@@ -19,7 +19,7 @@ use crate::request::Request;
 use crate::subgame::MinerEquilibrium;
 
 use super::policy::SolvePolicy;
-use super::Solved;
+use super::{bits_equal, bits_fingerprint, Solved};
 
 /// Scratch buffers threaded through every tier of the follower solver.
 ///
@@ -74,25 +74,12 @@ pub(crate) struct SoaPopulation {
     pub clouds: Vec<f64>,
 }
 
-fn budget_bits_key(budgets: &[f64]) -> u64 {
-    // FNV-1a over the raw IEEE-754 bits: cheap, deterministic, and exact on
-    // the bit patterns (no float comparison semantics involved).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in budgets {
-        for byte in b.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 impl SoaPopulation {
     /// Stages `budgets` into the contiguous budget array (and sizes the
     /// request arrays), skipping the copy when the exact same vector is
     /// already staged. Returns `true` when a (re)copy happened.
     pub fn stage(&mut self, budgets: &[f64]) -> bool {
-        let key = (budgets.len(), budget_bits_key(budgets));
+        let key = (budgets.len(), bits_fingerprint(budgets.iter().copied()));
         if self.key == Some(key) && bits_equal(&self.budgets, budgets) {
             return false;
         }
@@ -109,10 +96,6 @@ impl SoaPopulation {
         (self.budgets.capacity() + self.edges.capacity() + self.clouds.capacity())
             * std::mem::size_of::<f64>()
     }
-}
-
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 thread_local! {

@@ -110,8 +110,7 @@ struct PriceKey(PriceVector);
 
 impl PartialEq for PriceKey {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.0.as_slice(), other.0.as_slice());
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        crate::solver::bits_equal(self.0.as_slice(), other.0.as_slice())
     }
 }
 
@@ -235,8 +234,8 @@ impl LeaderStage for CachedStage<'_> {
 mod tests {
     use super::*;
     use crate::market::ProviderSet;
+    use crate::params::EdgeOperation;
     use crate::params::{MarketParams, Provider};
-    use crate::sp::stage::Mode;
     use crate::sp::MinerPopulation;
     use crate::subgame::SubgameConfig;
 
@@ -258,7 +257,7 @@ mod tests {
         ProviderStage::two_provider(
             params(),
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             SubgameConfig::default(),
         )
     }
@@ -417,7 +416,7 @@ mod tests {
             params(),
             set,
             population(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             SubgameConfig::default(),
         );
         let cached = CachedStage::new(&stage, 1e-4, 512);

@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::MiningGameError;
 use crate::market::PriceVector;
-use crate::params::{MarketParams, Prices};
-use crate::sp::stage::{Mode, ProviderStage};
+use crate::params::{EdgeOperation, MarketParams, Prices};
+use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
 use crate::subgame::SubgameConfig;
 
@@ -75,7 +75,7 @@ pub struct MixedPriceEquilibrium {
 pub fn mixed_price_equilibrium(
     params: &MarketParams,
     population: MinerPopulation,
-    mode: Mode,
+    mode: EdgeOperation,
     cfg: &MixedPricingConfig,
 ) -> Result<MixedPriceEquilibrium, MiningGameError> {
     if cfg.grid_points < 2 {
@@ -153,7 +153,8 @@ mod tests {
     fn cycle_region_yields_a_genuinely_mixed_prediction() {
         let cfg = MixedPricingConfig { grid_points: 9, iterations: 60_000, ..Default::default() };
         let out =
-            mixed_price_equilibrium(&cycle_params(), population(), Mode::Connected, &cfg).unwrap();
+            mixed_price_equilibrium(&cycle_params(), population(), EdgeOperation::Connected, &cfg)
+                .unwrap();
         // Strategies are distributions.
         let sum_e: f64 = out.edge_strategy.iter().sum();
         let sum_c: f64 = out.cloud_strategy.iter().sum();
@@ -170,7 +171,8 @@ mod tests {
     fn ne_region_concentrates_near_the_pure_equilibrium() {
         let cfg = MixedPricingConfig { grid_points: 9, iterations: 60_000, ..Default::default() };
         let out =
-            mixed_price_equilibrium(&ne_params(), population(), Mode::Connected, &cfg).unwrap();
+            mixed_price_equilibrium(&ne_params(), population(), EdgeOperation::Connected, &cfg)
+                .unwrap();
         assert!(out.has_pure_equilibrium);
         // The ESP's mass concentrates on the cap (its dominant strategy).
         let last = *out.edge_strategy.last().unwrap();
@@ -182,6 +184,12 @@ mod tests {
     #[test]
     fn validation() {
         let cfg = MixedPricingConfig { grid_points: 1, ..Default::default() };
-        assert!(mixed_price_equilibrium(&ne_params(), population(), Mode::Connected, &cfg).is_err());
+        assert!(mixed_price_equilibrium(
+            &ne_params(),
+            population(),
+            EdgeOperation::Connected,
+            &cfg
+        )
+        .is_err());
     }
 }

@@ -22,20 +22,11 @@ use mbm_game::stackelberg::LeaderStage;
 use mbm_game::GameError;
 
 use crate::market::{PriceVector, ProviderSet};
-use crate::params::{MarketParams, Prices};
+use crate::params::{EdgeOperation, MarketParams, Prices};
 use crate::request::Aggregates;
 use crate::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
 use crate::sp::MinerPopulation;
 use crate::subgame::SubgameConfig;
-
-/// Which edge operation mode the follower stage runs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// ESP connected to the CSP (transfer probability `1 − h`).
-    Connected,
-    /// Standalone ESP with capacity `E_max`.
-    Standalone,
-}
 
 /// The K-provider leader stage.
 #[derive(Debug, Clone)]
@@ -43,7 +34,7 @@ pub struct ProviderStage {
     params: MarketParams,
     providers: ProviderSet,
     population: MinerPopulation,
-    mode: Mode,
+    mode: EdgeOperation,
     subgame: SubgameConfig,
 }
 
@@ -56,7 +47,7 @@ impl ProviderStage {
         params: MarketParams,
         providers: ProviderSet,
         population: MinerPopulation,
-        mode: Mode,
+        mode: EdgeOperation,
         subgame: SubgameConfig,
     ) -> Self {
         ProviderStage { params, providers, population, mode, subgame }
@@ -67,7 +58,7 @@ impl ProviderStage {
     pub fn two_provider(
         params: MarketParams,
         population: MinerPopulation,
-        mode: Mode,
+        mode: EdgeOperation,
         subgame: SubgameConfig,
     ) -> Self {
         ProviderStage::new(params, ProviderSet::from_market(&params), population, mode, subgame)
@@ -83,16 +74,16 @@ impl ProviderStage {
     /// pair `prices`.
     fn follower_chain<'a>(&'a self, prices: &'a Prices) -> TieredSolver<'a> {
         match (&self.population, self.mode) {
-            (MinerPopulation::Homogeneous { budget, n }, Mode::Connected) => {
+            (MinerPopulation::Homogeneous { budget, n }, EdgeOperation::Connected) => {
                 TieredSolver::symmetric_connected(&self.params, prices, *budget, *n, &self.subgame)
             }
-            (MinerPopulation::Homogeneous { budget, n }, Mode::Standalone) => {
+            (MinerPopulation::Homogeneous { budget, n }, EdgeOperation::Standalone) => {
                 TieredSolver::symmetric_standalone(&self.params, prices, *budget, *n, &self.subgame)
             }
-            (MinerPopulation::Heterogeneous { budgets }, Mode::Connected) => {
+            (MinerPopulation::Heterogeneous { budgets }, EdgeOperation::Connected) => {
                 TieredSolver::connected(&self.params, prices, budgets, &self.subgame)
             }
-            (MinerPopulation::Heterogeneous { budgets }, Mode::Standalone) => {
+            (MinerPopulation::Heterogeneous { budgets }, EdgeOperation::Standalone) => {
                 TieredSolver::standalone(&self.params, prices, budgets, &self.subgame)
             }
         }
@@ -191,7 +182,7 @@ mod tests {
         let stage = ProviderStage::two_provider(
             params(),
             homogeneous(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             SubgameConfig::default(),
         );
         assert_eq!(stage.num_leaders(), 2);
@@ -204,7 +195,7 @@ mod tests {
         let stage = ProviderStage::two_provider(
             params(),
             homogeneous(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             SubgameConfig::default(),
         );
         let actions = [6.0, 2.0];
@@ -220,11 +211,11 @@ mod tests {
     fn heterogeneous_connected_demand_matches_homogeneous_when_equal() {
         let p = params();
         let cfg = SubgameConfig::default();
-        let hom = ProviderStage::two_provider(p, homogeneous(), Mode::Connected, cfg);
+        let hom = ProviderStage::two_provider(p, homogeneous(), EdgeOperation::Connected, cfg);
         let het = ProviderStage::two_provider(
             p,
             MinerPopulation::Heterogeneous { budgets: vec![200.0; 5] },
-            Mode::Connected,
+            EdgeOperation::Connected,
             cfg,
         );
         let prices = pair(5.0, 2.0);
@@ -239,7 +230,7 @@ mod tests {
         let stage = ProviderStage::two_provider(
             params(),
             homogeneous(),
-            Mode::Standalone,
+            EdgeOperation::Standalone,
             SubgameConfig::default(),
         );
         let agg = stage.follower_demand(&pair(4.0, 2.0)).unwrap();
@@ -250,11 +241,11 @@ mod tests {
     fn heterogeneous_standalone_demand_matches_homogeneous_when_equal() {
         let p = params();
         let cfg = SubgameConfig::default();
-        let hom = ProviderStage::two_provider(p, homogeneous(), Mode::Standalone, cfg);
+        let hom = ProviderStage::two_provider(p, homogeneous(), EdgeOperation::Standalone, cfg);
         let het = ProviderStage::two_provider(
             p,
             MinerPopulation::Heterogeneous { budgets: vec![200.0; 5] },
-            Mode::Standalone,
+            EdgeOperation::Standalone,
             cfg,
         );
         let prices = pair(4.0, 2.0);
@@ -274,7 +265,7 @@ mod tests {
         let stage = ProviderStage::two_provider(
             params(),
             homogeneous(),
-            Mode::Connected,
+            EdgeOperation::Connected,
             SubgameConfig::default(),
         );
         assert!(stage.payoff(0, &[-1.0, 2.0]).is_err());
@@ -293,8 +284,13 @@ mod tests {
             Provider::new(1.5, 8.0).unwrap(),
         ])
         .unwrap();
-        let stage =
-            ProviderStage::new(p, set, homogeneous(), Mode::Connected, SubgameConfig::default());
+        let stage = ProviderStage::new(
+            p,
+            set,
+            homogeneous(),
+            EdgeOperation::Connected,
+            SubgameConfig::default(),
+        );
         // Both points reduce to (9, 3): the dominated provider's price moves.
         let grid = vec![
             PriceVector::new(&[9.0, 3.0, 5.0]).unwrap(),

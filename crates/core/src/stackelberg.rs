@@ -4,8 +4,8 @@
 //! pricing, each anticipating the miner subgame) is solved by asynchronous
 //! best response (paper Algorithm 1) or simultaneous price bargaining
 //! (Algorithm 2's schedule) on the K-provider [`ProviderStage`]; the
-//! reported follower equilibrium is then re-solved at the equilibrium's
-//! effective prices with the full heterogeneous solver. [`solve_oligopoly`]
+//! reported follower equilibrium, with its [`SolveReport`], is then solved
+//! at the equilibrium's effective prices with the full heterogeneous solver. [`solve_oligopoly`]
 //! is the entry point for any provider set; [`solve_connected`] and
 //! [`solve_standalone`] are its `K = 2` form for the paper's market.
 
@@ -21,12 +21,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::MiningGameError;
 use crate::market::{PriceVector, ProviderSet};
-use crate::params::{validate_budgets, MarketParams, Prices};
+use crate::params::{validate_budgets, EdgeOperation, MarketParams, Prices};
+use crate::solver::{solve_connected_reported, solve_standalone_reported, SolveReport};
 use crate::sp::cache::CachedStage;
-use crate::sp::stage::{Mode, ProviderStage};
+use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
-use crate::subgame::connected::solve_connected_miner_subgame;
-use crate::subgame::standalone::solve_standalone_miner_subgame;
 use crate::subgame::{MinerEquilibrium, SubgameConfig};
 
 /// Leader-update schedule.
@@ -152,6 +151,8 @@ pub struct StackelbergSolution {
     pub prices: Prices,
     /// Follower equilibrium at those prices.
     pub equilibrium: MinerEquilibrium,
+    /// What the follower solve behind `equilibrium` did.
+    pub report: SolveReport,
     /// ESP profit `V_e`.
     pub esp_profit: f64,
     /// CSP profit `V_c`.
@@ -169,6 +170,8 @@ pub struct OligopolySolution {
     pub prices: Vec<f64>,
     /// Follower equilibrium at the effective prices.
     pub equilibrium: MinerEquilibrium,
+    /// What the follower solve behind `equilibrium` did.
+    pub report: SolveReport,
     /// Per-provider demand (Bertrand allocation of the aggregates).
     pub demand: Vec<f64>,
     /// Per-provider profits.
@@ -192,7 +195,7 @@ pub fn solve_connected(
     budgets: &[f64],
     cfg: &StackelbergConfig,
 ) -> Result<StackelbergSolution, MiningGameError> {
-    solve_two_provider(params, budgets, Mode::Connected, cfg, &CONNECTED)
+    solve_two_provider(params, budgets, EdgeOperation::Connected, cfg, &CONNECTED)
 }
 
 /// Solves the standalone-mode Stackelberg game for the given miner budgets.
@@ -205,13 +208,13 @@ pub fn solve_standalone(
     budgets: &[f64],
     cfg: &StackelbergConfig,
 ) -> Result<StackelbergSolution, MiningGameError> {
-    solve_two_provider(params, budgets, Mode::Standalone, cfg, &STANDALONE)
+    solve_two_provider(params, budgets, EdgeOperation::Standalone, cfg, &STANDALONE)
 }
 
 /// Solves the K-provider Stackelberg game: the leader schedule and
 /// damping-retry ladder run on a [`ProviderStage`] over `providers`, then
-/// the follower equilibrium is re-solved at the effective equilibrium
-/// prices with the full heterogeneous solver.
+/// the follower equilibrium is solved at the effective equilibrium prices
+/// with the full heterogeneous solver.
 ///
 /// With `cfg.exec.telemetry` set, publishes `core.solver.oligopoly.solves`
 /// / `.rounds` counters, the `core.solver.oligopoly.k` gauge and the
@@ -224,7 +227,7 @@ pub fn solve_oligopoly(
     params: &MarketParams,
     providers: &ProviderSet,
     budgets: &[f64],
-    mode: Mode,
+    mode: EdgeOperation,
     cfg: &StackelbergConfig,
 ) -> Result<OligopolySolution, MiningGameError> {
     solve(params, providers, budgets, mode, cfg, &OLIGOPOLY)
@@ -263,7 +266,7 @@ const OLIGOPOLY: SolveMetrics = SolveMetrics {
 fn solve_two_provider(
     params: &MarketParams,
     budgets: &[f64],
-    mode: Mode,
+    mode: EdgeOperation,
     cfg: &StackelbergConfig,
     metrics: &SolveMetrics,
 ) -> Result<StackelbergSolution, MiningGameError> {
@@ -271,6 +274,7 @@ fn solve_two_provider(
     Ok(StackelbergSolution {
         prices: Prices { edge: sol.prices[0], cloud: sol.prices[1] },
         equilibrium: sol.equilibrium,
+        report: sol.report,
         esp_profit: sol.profits[0],
         csp_profit: sol.profits[1],
         leader_rounds: sol.leader_rounds,
@@ -282,7 +286,7 @@ fn solve(
     params: &MarketParams,
     providers: &ProviderSet,
     budgets: &[f64],
-    mode: Mode,
+    mode: EdgeOperation,
     cfg: &StackelbergConfig,
     metrics: &SolveMetrics,
 ) -> Result<OligopolySolution, MiningGameError> {
@@ -319,12 +323,12 @@ fn solve(
     }
     let prices = PriceVector::new(&out.actions)?;
     let effective = prices.effective();
-    let equilibrium = match mode {
-        Mode::Connected => {
-            solve_connected_miner_subgame(params, &effective, budgets, &cfg.subgame)?
+    let (equilibrium, report) = match mode {
+        EdgeOperation::Connected => {
+            solve_connected_reported(params, &effective, budgets, &cfg.subgame)?
         }
-        Mode::Standalone => {
-            solve_standalone_miner_subgame(params, &effective, budgets, &cfg.subgame)?
+        EdgeOperation::Standalone => {
+            solve_standalone_reported(params, &effective, budgets, &cfg.subgame)?
         }
     };
     Ok(OligopolySolution {
@@ -332,6 +336,7 @@ fn solve(
         demand: prices.allocate_demand(&equilibrium.aggregates),
         profits: providers.profits(&prices, &equilibrium.aggregates),
         equilibrium,
+        report,
         leader_rounds: out.rounds,
         leader_residual: out.residual,
     })
@@ -559,9 +564,14 @@ mod tests {
     fn k3_solution_prices_the_cheap_cloud_below_its_rival() {
         let p = params();
         let set = three_provider_set();
-        let sol =
-            solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &StackelbergConfig::default())
-                .unwrap();
+        let sol = solve_oligopoly(
+            &p,
+            &set,
+            &[200.0; 5],
+            EdgeOperation::Connected,
+            &StackelbergConfig::default(),
+        )
+        .unwrap();
         assert_eq!(sol.prices.len(), 3);
         // Demand accounting: edge gets E, winning cloud(s) split C.
         let agg = sol.equilibrium.aggregates;
@@ -580,15 +590,21 @@ mod tests {
     fn k3_cached_and_parallel_execution_is_bitwise_serial() {
         let p = params();
         let set = three_provider_set();
-        let serial =
-            solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &StackelbergConfig::default())
-                .unwrap();
+        let serial = solve_oligopoly(
+            &p,
+            &set,
+            &[200.0; 5],
+            EdgeOperation::Connected,
+            &StackelbergConfig::default(),
+        )
+        .unwrap();
         for (threads, capacity) in [(4, 0), (1, 1 << 14), (4, 1 << 14)] {
             let cfg = StackelbergConfig {
                 exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
                 ..Default::default()
             };
-            let other = solve_oligopoly(&p, &set, &[200.0; 5], Mode::Connected, &cfg).unwrap();
+            let other =
+                solve_oligopoly(&p, &set, &[200.0; 5], EdgeOperation::Connected, &cfg).unwrap();
             if capacity == 0 {
                 assert_eq!(serial, other, "threads {threads}");
             } else {

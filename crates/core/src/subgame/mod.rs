@@ -16,11 +16,16 @@ pub mod dynamic;
 pub mod homogeneous;
 pub mod standalone;
 
+use mbm_game::gnep::{gnep_residual_in, GnepWorkspace, ProductSet};
+use mbm_game::profile::Profile;
+use mbm_numerics::projection::{BudgetSet, ConvexSet};
 use serde::{Deserialize, Serialize};
 
 use crate::error::MiningGameError;
-use crate::params::Prices;
+use crate::params::{EdgeOperation, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
+use connected::ConnectedMinerGame;
+use standalone::StandaloneMinerGame;
 
 /// Configuration shared by the miner-subgame solvers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,6 +142,52 @@ pub fn initial_profile_into(
         }
     }
     Ok(())
+}
+
+/// The per-miner budget sets `P_e·eᵢ + P_c·cᵢ ≤ Bᵢ` as one product set over
+/// the stacked profile: the connected game's feasible set, and the
+/// standalone game's before the capacity cut.
+pub(crate) fn budget_product(
+    prices: &Prices,
+    budgets: &[f64],
+) -> Result<ProductSet, MiningGameError> {
+    let sets: Vec<Box<dyn ConvexSet + Send + Sync>> = budgets
+        .iter()
+        .map(|&b| {
+            Ok(Box::new(BudgetSet::new(vec![prices.edge, prices.cloud], b)?)
+                as Box<dyn ConvexSet + Send + Sync>)
+        })
+        .collect::<Result<_, MiningGameError>>()?;
+    Ok(ProductSet::new(sets)?)
+}
+
+/// The equilibrium certificate of a follower profile: the GNEP/VI natural
+/// residual of `profile` in the miner game of `mode` — over the budget-set
+/// product for the connected NEP, intersected with the capacity half-space
+/// `Σeᵢ ≤ E_max` for the standalone GNEP. Zero exactly at a (variational)
+/// equilibrium. `ws` is scratch only; the value does not depend on it.
+///
+/// # Errors
+///
+/// Returns [`MiningGameError::InvalidParameter`] for invalid budgets.
+pub fn equilibrium_certificate(
+    mode: EdgeOperation,
+    params: &MarketParams,
+    prices: &Prices,
+    budgets: &[f64],
+    profile: &Profile,
+    ws: &mut GnepWorkspace,
+) -> Result<f64, MiningGameError> {
+    Ok(match mode {
+        EdgeOperation::Connected => {
+            let game = ConnectedMinerGame::new(*params, *prices, budgets.to_vec())?;
+            gnep_residual_in(&game, &budget_product(prices, budgets)?, profile, ws)
+        }
+        EdgeOperation::Standalone => {
+            let game = StandaloneMinerGame::new(*params, *prices, budgets.to_vec())?;
+            gnep_residual_in(&game, &game.shared_set()?, profile, ws)
+        }
+    })
 }
 
 /// Outcome of one symmetric fixed-point run (tier 1 of the symmetric solver

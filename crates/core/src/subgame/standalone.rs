@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 
 use mbm_game::game::Game;
-use mbm_game::gnep::{gnep_residual, IntersectionSet, ProductSet};
+use mbm_game::gnep::{IntersectionSet, ProductSet};
 use mbm_game::profile::Profile;
 use mbm_numerics::projection::{BudgetSet, ConvexSet, Halfspace};
 
@@ -21,7 +21,7 @@ use crate::error::MiningGameError;
 use crate::params::{validate_budgets, MarketParams, Prices};
 use crate::request::Request;
 use crate::subgame::connected::{analytic_best_response, BestResponseInputs};
-use crate::subgame::{MinerEquilibrium, SubgameConfig, SymRun};
+use crate::subgame::{budget_product, MinerEquilibrium, SubgameConfig, SymRun};
 use crate::winning::{utility_gradient, utility_standalone};
 
 /// The standalone-mode miner subgame as an [`mbm_game::game::Game`].
@@ -82,15 +82,7 @@ impl StandaloneMinerGame {
     ///
     /// Propagates construction errors (cannot occur for validated params).
     pub fn shared_set(&self) -> Result<IntersectionSet<ProductSet, Halfspace>, MiningGameError> {
-        let budget_sets: Vec<Box<dyn ConvexSet + Send + Sync>> = self
-            .budgets
-            .iter()
-            .map(|&b| {
-                Ok(Box::new(BudgetSet::new(vec![self.prices.edge, self.prices.cloud], b)?)
-                    as Box<dyn ConvexSet + Send + Sync>)
-            })
-            .collect::<Result<_, MiningGameError>>()?;
-        let product = ProductSet::new(budget_sets)?;
+        let product = budget_product(&self.prices, &self.budgets)?;
         // Capacity half-space touches only the edge coordinates (pattern
         // [1, 0, 1, 0, ...]).
         let mut normal = vec![0.0; 2 * self.budgets.len()];
@@ -202,24 +194,6 @@ pub fn solve_standalone_miner_subgame(
     cfg: &SubgameConfig,
 ) -> Result<MinerEquilibrium, MiningGameError> {
     crate::solver::solve_standalone_reported(params, prices, budgets, cfg).map(|(eq, _)| eq)
-}
-
-/// VI natural-residual certificate for a candidate standalone equilibrium.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn standalone_residual(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    requests: &[Request],
-) -> Result<f64, MiningGameError> {
-    let game = StandaloneMinerGame::new(*params, *prices, budgets.to_vec())?;
-    let shared = game.shared_set()?;
-    let blocks: Vec<Vec<f64>> = requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
-    let profile = Profile::from_blocks(&blocks)?;
-    Ok(gnep_residual(&game, &shared, &profile))
 }
 
 /// Fast path for homogeneous miners in standalone mode: symmetric fixed
@@ -388,10 +362,23 @@ mod tests {
         let budgets = vec![150.0; 3];
         let eq =
             solve_standalone_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
-        let at_solution = standalone_residual(&p, &pr, &budgets, &eq.requests).unwrap();
+        let certificate = |requests: &[Request]| {
+            let blocks: Vec<Vec<f64>> = requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
+            let profile = Profile::from_blocks(&blocks).unwrap();
+            let mut ws = mbm_game::gnep::GnepWorkspace::new();
+            crate::subgame::equilibrium_certificate(
+                crate::params::EdgeOperation::Standalone,
+                &p,
+                &pr,
+                &budgets,
+                &profile,
+                &mut ws,
+            )
+            .unwrap()
+        };
+        let at_solution = certificate(&eq.requests);
         assert!(at_solution < 1e-3, "residual {at_solution}");
-        let off = vec![Request::new(0.1, 0.1).unwrap(); 3];
-        let off_residual = standalone_residual(&p, &pr, &budgets, &off).unwrap();
+        let off_residual = certificate(&[Request::new(0.1, 0.1).unwrap(); 3]);
         assert!(off_residual > at_solution * 10.0, "{off_residual} vs {at_solution}");
     }
 

@@ -31,7 +31,7 @@ use mbm_core::request::Aggregates;
 use mbm_core::scenario::EdgeOperation;
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
 use mbm_core::sp::cache::CachedStage;
-use mbm_core::sp::stage::{Mode, ProviderStage};
+use mbm_core::sp::stage::ProviderStage;
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{solve_connected, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
@@ -157,8 +157,12 @@ fn bench_multistart_memoized() -> BenchRecord {
     let params = leader_ne_market();
     let budgets = vec![80.0, 120.0, 160.0, 200.0, 240.0];
     let population = MinerPopulation::Heterogeneous { budgets };
-    let stage =
-        ProviderStage::two_provider(params, population, Mode::Connected, SubgameConfig::default());
+    let stage = ProviderStage::two_provider(
+        params,
+        population,
+        EdgeOperation::Connected,
+        SubgameConfig::default(),
+    );
     let leader = LeaderParams::reference();
     let n_inits = 8;
     let inits: Vec<Vec<f64>> = (0..n_inits)
@@ -581,7 +585,7 @@ fn bench_oligopoly_grid_sweep() -> BenchRecord {
         params,
         providers,
         MinerPopulation::Heterogeneous { budgets },
-        Mode::Connected,
+        EdgeOperation::Connected,
         cfg,
     );
     let grid: Vec<PriceVector> = (0..24)

@@ -11,8 +11,9 @@ use mbm_core::request::{Aggregates, Request};
 use mbm_core::scenario::EdgeOperation;
 use mbm_core::stackelberg::StackelbergConfig;
 use mbm_core::subgame::dynamic::DynamicConfig;
-use mbm_core::subgame::standalone::standalone_residual;
-use mbm_core::subgame::SubgameConfig;
+use mbm_core::subgame::{equilibrium_certificate, SubgameConfig};
+use mbm_game::gnep::GnepWorkspace;
+use mbm_game::profile::Profile;
 
 use crate::error::EngineError;
 use crate::executor::TaskResults;
@@ -158,8 +159,20 @@ fn render(_ctx: &SpecCtx, results: &TaskResults) -> Result<Vec<SweepTable>, Engi
     let params = baseline_market().with_e_max(2.0).expect("valid capacity");
     let prices = Prices::new(4.0, 2.0).expect("valid prices");
     let budgets = vec![BUDGET; N_MINERS];
+    // The standalone GNEP's equilibrium certificate of a request profile.
+    let vi_residual = |requests: &[Request]| {
+        let blocks: Vec<Vec<f64>> = requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
+        Profile::from_blocks(&blocks)
+            .map_err(Into::into)
+            .and_then(|profile| {
+                let mode = EdgeOperation::Standalone;
+                let mut ws = GnepWorkspace::new();
+                equilibrium_certificate(mode, &params, &prices, &budgets, &profile, &mut ws)
+            })
+            .unwrap_or(f64::NAN)
+    };
     let ve = results.market(&ve_task())?;
-    let ve_res = standalone_residual(&params, &prices, &budgets, &ve.requests).unwrap_or(f64::NAN);
+    let ve_res = vi_residual(&ve.requests);
     let unconstrained = results.market(&unconstrained_task())?;
     let scale = (params.e_max() / unconstrained.report.edge_units).min(1.0);
     let clipped: Vec<Request> = unconstrained
@@ -167,7 +180,7 @@ fn render(_ctx: &SpecCtx, results: &TaskResults) -> Result<Vec<SweepTable>, Engi
         .iter()
         .map(|r| Request { edge: r.edge * scale, cloud: r.cloud })
         .collect();
-    let clip_res = standalone_residual(&params, &prices, &budgets, &clipped).unwrap_or(f64::NAN);
+    let clip_res = vi_residual(&clipped);
     let clip_e = Aggregates::of_iter(&clipped).edge;
     let abl2 = SweepTable::new(
         "ABL-2: variational equilibrium vs naive clip-to-capacity (standalone, E_max = 2)",

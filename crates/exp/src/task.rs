@@ -30,11 +30,11 @@ use mbm_core::solver::{
 };
 use mbm_core::sp::mixed::{mixed_price_equilibrium, MixedPriceEquilibrium, MixedPricingConfig};
 use mbm_core::sp::pricing::{standalone_csp_price, standalone_market_clearing_edge_price};
-use mbm_core::sp::stage::{Mode, ProviderStage};
+use mbm_core::sp::stage::ProviderStage;
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{LeaderSchedule, StackelbergConfig};
 use mbm_core::subgame::connected::ConnectedMinerGame;
-use mbm_core::subgame::dynamic::{solve_symmetric_continuous, DynamicConfig, Population};
+use mbm_core::subgame::dynamic::{DynamicConfig, Population};
 use mbm_core::subgame::SubgameConfig;
 use mbm_core::table2::{closed_forms, Table2};
 use mbm_game::nash::{best_response_dynamics, BrParams, UpdateOrder};
@@ -509,10 +509,15 @@ impl Keyer {
             LeaderSchedule::BestResponse => 0,
             LeaderSchedule::Bargaining => 1,
         });
-        // ExecConfig is numerically inert by contract (thread count and
-        // memoization never change results), so it is deliberately *not*
-        // part of the identity: the same solve at different thread counts
-        // is the same task.
+        // Thread count and telemetry never change results, so they stay
+        // out of the identity: the same solve at different thread counts is
+        // the same task. The payoff cache does change results — it snaps
+        // candidate prices to `leader.tol / 100` — so a cached solve is a
+        // different task. Any capacity gives the same bits, so only the
+        // switch is keyed, and only when on: uncached keys stay unchanged.
+        if c.exec.cache_capacity > 0 {
+            self.tag(1);
+        }
     }
     fn dynamic(&mut self, c: &DynamicConfig) {
         self.f(c.mixing);
@@ -1037,55 +1042,18 @@ impl Task {
     #[must_use]
     pub fn run(&self) -> TaskOutput {
         match self {
-            Task::SymSubgame { op, params, prices, budget, n, cfg } => {
-                let outcome = scenario(*op, params)
-                    .homogeneous_miners(*n, *budget)
-                    .with_prices(*prices)
-                    .with_stackelberg_config(StackelbergConfig {
-                        subgame: *cfg,
-                        ..StackelbergConfig::default()
-                    })
-                    .solve_symmetric();
-                TaskOutput::Sym(outcome.map_err(|e| e.to_string()))
-            }
-            Task::Nep { op, params, prices, budgets, cfg } => {
-                let outcome = scenario(*op, params)
-                    .miners(budgets.clone())
-                    .with_prices(*prices)
-                    .with_stackelberg_config(StackelbergConfig {
-                        subgame: *cfg,
-                        ..StackelbergConfig::default()
-                    })
-                    .solve();
-                TaskOutput::Market(outcome.map(Box::new).map_err(|e| e.to_string()))
-            }
-            Task::Leader { op, params, budgets, cfg } => {
-                let outcome = scenario(*op, params)
-                    .miners(budgets.clone())
-                    .with_stackelberg_config(*cfg)
-                    .solve();
-                TaskOutput::Market(outcome.map(Box::new).map_err(|e| e.to_string()))
-            }
-            Task::SymDynamic { params, prices, budget, pop, cfg } => {
-                let outcome = pop.to_population().and_then(|population| {
-                    Scenario::connected(*params)
-                        .dynamic_population(population, *budget)
-                        .with_prices(*prices)
-                        .with_dynamic_config(*cfg)
-                        .solve()
-                        .map_err(|e| e.to_string())
-                });
-                TaskOutput::Market(outcome.map(Box::new))
-            }
-            Task::SymContinuous { params, prices, budget, mu, sd, cfg } => TaskOutput::Sym(
-                solve_symmetric_continuous(params, prices, *budget, *mu, *sd, cfg)
-                    .map_err(|e| e.to_string()),
-            ),
+            Task::SymSubgame { .. }
+            | Task::Nep { .. }
+            | Task::Leader { .. }
+            | Task::SymDynamic { .. }
+            | Task::SymContinuous { .. }
+            | Task::AggregateNep { .. }
+            | Task::OligopolyNep { .. } => self.run_reported().0,
             Task::CspOptimalPrice { params, op, edge_price, budget, n, cfg } => {
                 let stage = ProviderStage::two_provider(
                     *params,
                     MinerPopulation::Homogeneous { budget: *budget, n: *n },
-                    mode(*op),
+                    *op,
                     *cfg,
                 );
                 let profit = |p_c: f64| stage.payoff(1, &[*edge_price, p_c]).unwrap_or(f64::NAN);
@@ -1129,7 +1097,7 @@ impl Task {
                         params,
                         &ProviderSet::from_market(params),
                         MinerPopulation::Homogeneous { budget: *budget, n: *n },
-                        mode(*op),
+                        *op,
                         &init,
                         &AlgorithmConfig { max_rounds: *max_rounds, ..AlgorithmConfig::default() },
                     )
@@ -1140,7 +1108,7 @@ impl Task {
                 let mixed = mixed_price_equilibrium(
                     params,
                     MinerPopulation::Homogeneous { budget: *budget, n: *n },
-                    mode(*op),
+                    *op,
                     &MixedPricingConfig {
                         grid_points: *grid_points,
                         iterations: *iterations,
@@ -1184,7 +1152,6 @@ impl Task {
                     .map_err(|e| e.to_string());
                 TaskOutput::Race(summary)
             }
-            Task::AggregateNep { .. } | Task::OligopolyNep { .. } => self.run_reported().0,
             Task::OligopolyBr { op, params, clouds, budget, n, init, max_rounds } => {
                 let trace = run_oligopoly_br(params, *op, clouds, *budget, *n, init, *max_rounds);
                 TaskOutput::Trace(trace)
@@ -1257,13 +1224,6 @@ fn scenario(op: EdgeOperation, params: &MarketParams) -> Scenario {
     }
 }
 
-fn mode(op: EdgeOperation) -> Mode {
-    match op {
-        EdgeOperation::Connected => Mode::Connected,
-        EdgeOperation::Standalone => Mode::Standalone,
-    }
-}
-
 /// Builds the K-provider set and runs the sequential best-response price
 /// dynamics for [`Task::OligopolyBr`].
 fn run_oligopoly_br(
@@ -1285,7 +1245,7 @@ fn run_oligopoly_br(
         params,
         &set,
         MinerPopulation::Homogeneous { budget, n },
-        mode(op),
+        op,
         &init,
         &AlgorithmConfig { max_rounds, ..AlgorithmConfig::default() },
     )
@@ -1369,23 +1329,24 @@ mod tests {
     }
 
     #[test]
-    fn exec_config_is_not_part_of_the_identity() {
+    fn only_the_payoff_cache_switch_of_exec_config_is_part_of_the_identity() {
         use mbm_core::stackelberg::ExecConfig;
-        let base = Task::Leader {
-            op: EdgeOperation::Connected,
-            params: crate::market::leader_ne_market(),
-            budgets: vec![BUDGET; N_MINERS],
-            cfg: StackelbergConfig::default(),
-        };
-        let accel = Task::Leader {
+        let leader = |threads, cache_capacity, telemetry| Task::Leader {
             op: EdgeOperation::Connected,
             params: crate::market::leader_ne_market(),
             budgets: vec![BUDGET; N_MINERS],
             cfg: StackelbergConfig {
-                exec: ExecConfig { threads: 8, cache_capacity: 1 << 12, telemetry: true },
+                exec: ExecConfig { threads, cache_capacity, telemetry },
                 ..StackelbergConfig::default()
             },
         };
-        assert_eq!(base.canon(), accel.canon());
+        let uncached = leader(1, 0, false).canon();
+        let cached = leader(1, 1, false).canon();
+        // The cache snaps prices, so cached and uncached solves differ.
+        assert_ne!(uncached, cached);
+        // Threads, telemetry and the capacity size never change results.
+        assert_eq!(uncached, leader(8, 0, true).canon());
+        assert_eq!(cached, leader(8, 1 << 12, true).canon());
+        assert_eq!(cached, leader(1, 1 << 16, false).canon());
     }
 }

@@ -14,7 +14,6 @@ use mobile_blockchain_mining::core::market::{PriceVector, ProviderSet};
 use mobile_blockchain_mining::core::params::Prices;
 use mobile_blockchain_mining::core::presets;
 use mobile_blockchain_mining::core::scenario::EdgeOperation;
-use mobile_blockchain_mining::core::sp::stage::Mode;
 use mobile_blockchain_mining::core::sp::MinerPopulation;
 use mobile_blockchain_mining::exp::planner::PlannedTask;
 use mobile_blockchain_mining::exp::{run_tasks, Task};
@@ -32,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &params,
         &providers,
         population.clone(),
-        Mode::Standalone,
+        EdgeOperation::Standalone,
         &start,
         &cfg,
     )?;

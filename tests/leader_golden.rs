@@ -16,9 +16,9 @@ use mbm_core::algorithms::{
     algorithm1_asynchronous_best_response, algorithm2_price_bargaining, AlgorithmConfig, PriceTrace,
 };
 use mbm_core::market::{PriceVector, ProviderSet};
+use mbm_core::params::EdgeOperation as Mode;
 use mbm_core::params::{MarketParams, Provider};
 use mbm_core::sp::mixed::{mixed_price_equilibrium, MixedPricingConfig};
-use mbm_core::sp::stage::Mode;
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{
     solve_connected, solve_oligopoly, solve_standalone, ExecConfig, LeaderSchedule,

@@ -8,10 +8,10 @@ use proptest::prelude::*;
 
 use mbm_chain_sim::pow::{Puzzle, Target};
 use mbm_core::market::ProviderSet;
+use mbm_core::params::EdgeOperation as Mode;
 use mbm_core::params::{MarketParams, Prices, Provider};
 use mbm_core::request::Request;
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
-use mbm_core::sp::stage::Mode;
 use mbm_core::stackelberg::{solve_connected, solve_oligopoly, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
 use mbm_par::Pool;

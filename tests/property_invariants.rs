@@ -159,9 +159,11 @@ proptest! {
         beta in 0.05f64..0.5,
         p_e in 3.0f64..8.0,
     ) {
-        use mbm_core::subgame::standalone::{
-            solve_standalone_miner_subgame, standalone_residual,
-        };
+        use mbm_core::params::EdgeOperation;
+        use mbm_core::subgame::equilibrium_certificate;
+        use mbm_core::subgame::standalone::solve_standalone_miner_subgame;
+        use mbm_game::gnep::GnepWorkspace;
+        use mbm_game::profile::Profile;
         let p_c = p_e * 0.4;
         let params = MarketParams::builder()
             .reward(100.0)
@@ -184,7 +186,12 @@ proptest! {
             prop_assert!(r.cost(&prices) <= b + 1e-5, "budget violated");
             prop_assert!(r.edge >= -1e-9 && r.cloud >= -1e-9);
         }
-        let res = standalone_residual(&params, &prices, &budgets, &eq.requests).unwrap();
+        let blocks: Vec<Vec<f64>> = eq.requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
+        let profile = Profile::from_blocks(&blocks).unwrap();
+        let mode = EdgeOperation::Standalone;
+        let mut ws = GnepWorkspace::new();
+        let res =
+            equilibrium_certificate(mode, &params, &prices, &budgets, &profile, &mut ws).unwrap();
         prop_assert!(res < 1e-2, "VI residual {res}");
     }
 

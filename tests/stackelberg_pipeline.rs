@@ -64,7 +64,8 @@ fn leader_prices_are_mutual_best_responses() {
     // CSP near the stationary point of its profit: compare against a
     // fine 1-D re-optimization around the solution.
     use mbm_core::market::PriceVector;
-    use mbm_core::sp::stage::{Mode, ProviderStage};
+    use mbm_core::params::EdgeOperation as Mode;
+    use mbm_core::sp::stage::ProviderStage;
     use mbm_core::sp::MinerPopulation;
     use mbm_core::subgame::SubgameConfig;
     let stage = ProviderStage::two_provider(

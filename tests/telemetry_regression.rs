@@ -28,9 +28,9 @@
 use std::path::PathBuf;
 
 use mbm_core::market::ProviderSet;
+use mbm_core::params::EdgeOperation as Mode;
 use mbm_core::params::{MarketParams, Provider};
 use mbm_core::scenario::EdgeOperation;
-use mbm_core::sp::stage::Mode;
 use mbm_core::stackelberg::{solve_connected, solve_oligopoly, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
 use mbm_exp::executor::execute;
