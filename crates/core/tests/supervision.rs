@@ -43,20 +43,27 @@ fn with_plan_and_policy<R>(spec: &str, policy: SolvePolicy, f: impl FnOnce() -> 
 #[test]
 fn injected_misconvergence_escalates_like_a_real_failure() {
     let prices = Prices::new(4.0, 2.0).unwrap();
-    let (r, report) = with_plan_and_policy(
+    let (r, report, first) = with_plan_and_policy(
         "seed=7;core.solver.symmetric_fp:misconverge@1",
         SolvePolicy::strict(),
         || {
-            solve_symmetric_connected_reported(
+            let (r, report) = solve_symmetric_connected_reported(
                 &market(),
                 &prices,
                 200.0,
                 5,
                 &SubgameConfig::default(),
             )
-            .expect("escalation tier absorbs the injected fault")
+            .expect("escalation tier absorbs the injected fault");
+            // The full-N tier that answered left its profile in this
+            // thread's workspace.
+            let first = SolveWorkspace::with_thread_local(|ws| ws.requests.first().copied());
+            (r, report, first.expect("the full-N tier fills the per-miner buffers"))
         },
     );
+    // The symmetric answer is the first miner's request of that profile.
+    assert_eq!(r.edge.to_bits(), first.edge.to_bits());
+    assert_eq!(r.cloud.to_bits(), first.cloud.to_bits());
     assert!(r.edge.is_finite() && r.cloud.is_finite());
     assert_eq!(report.status, SolveStatus::Converged);
     assert_eq!(report.method, SolveMethod::BestResponseDynamics);
