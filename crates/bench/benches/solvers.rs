@@ -3,13 +3,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use mbm_core::params::{MarketParams, Prices};
+use mbm_core::solver::TieredSolver;
 use mbm_core::stackelberg::{solve_connected, StackelbergConfig};
-use mbm_core::subgame::connected::{
-    analytic_best_response, solve_connected_miner_subgame, solve_symmetric_connected,
-    BestResponseInputs,
-};
-use mbm_core::subgame::dynamic::{solve_symmetric_dynamic, DynamicConfig, Population};
-use mbm_core::subgame::standalone::solve_standalone_miner_subgame;
+use mbm_core::subgame::connected::{analytic_best_response, BestResponseInputs};
+use mbm_core::subgame::dynamic::{DynamicConfig, Population};
 use mbm_core::subgame::SubgameConfig;
 
 fn params() -> MarketParams {
@@ -55,10 +52,18 @@ fn bench_symmetric_connected(c: &mut Criterion) {
     let prices = Prices::new(4.0, 2.0).expect("valid prices");
     let cfg = SubgameConfig::default();
     c.bench_function("symmetric_connected_n5", |b| {
-        b.iter(|| solve_symmetric_connected(&p, &prices, 200.0, 5, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::symmetric_connected(&p, &prices, 200.0, 5, &cfg)
+                .solve_per_miner()
+                .expect("solve")
+        })
     });
     c.bench_function("symmetric_connected_n50", |b| {
-        b.iter(|| solve_symmetric_connected(&p, &prices, 200.0, 50, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::symmetric_connected(&p, &prices, 200.0, 50, &cfg)
+                .solve_per_miner()
+                .expect("solve")
+        })
     });
 }
 
@@ -68,7 +73,9 @@ fn bench_nep_solver(c: &mut Criterion) {
     let cfg = SubgameConfig::default();
     let budgets = vec![50.0, 100.0, 150.0, 200.0, 250.0];
     c.bench_function("connected_nep_heterogeneous_n5", |b| {
-        b.iter(|| solve_connected_miner_subgame(&p, &prices, &budgets, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::connected(&p, &prices, &budgets, &cfg).solve_equilibrium().expect("solve")
+        })
     });
 }
 
@@ -78,7 +85,11 @@ fn bench_gnep_solver(c: &mut Criterion) {
     let cfg = SubgameConfig::default();
     let budgets = vec![200.0; 4];
     c.bench_function("standalone_gnep_n4", |b| {
-        b.iter(|| solve_standalone_miner_subgame(&p, &prices, &budgets, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::standalone(&p, &prices, &budgets, &cfg)
+                .solve_equilibrium()
+                .expect("solve")
+        })
     });
 }
 
@@ -88,7 +99,9 @@ fn bench_dynamic_solver(c: &mut Criterion) {
     let pop = Population::gaussian(8.0, 2.0).expect("valid population");
     let cfg = DynamicConfig::default();
     c.bench_function("dynamic_symmetric_mu8", |b| {
-        b.iter(|| solve_symmetric_dynamic(&p, &prices, 300.0, &pop, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::dynamic(&p, &prices, 300.0, &pop, &cfg).solve_per_miner().expect("solve")
+        })
     });
 }
 
@@ -115,12 +128,15 @@ fn bench_gauss_hermite(c: &mut Criterion) {
 }
 
 fn bench_symmetric_standalone(c: &mut Criterion) {
-    use mbm_core::subgame::standalone::solve_symmetric_standalone;
     let p = params().with_e_max(2.0).expect("valid capacity");
     let prices = Prices::new(4.0, 2.0).expect("valid prices");
     let cfg = SubgameConfig::default();
     c.bench_function("symmetric_standalone_n5_capacity_binding", |b| {
-        b.iter(|| solve_symmetric_standalone(&p, &prices, 200.0, 5, &cfg).expect("solve"))
+        b.iter(|| {
+            TieredSolver::symmetric_standalone(&p, &prices, 200.0, 5, &cfg)
+                .solve_per_miner()
+                .expect("solve")
+        })
     });
 }
 

@@ -99,16 +99,17 @@ pub fn mining_efficiency(report: &MarketReport, ceiling: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subgame::connected::solve_connected_miner_subgame;
+    use crate::solver::TieredSolver;
     use crate::subgame::SubgameConfig;
 
     #[test]
     fn report_is_internally_consistent() {
         let params = MarketParams::builder().build().unwrap();
         let prices = Prices::new(4.0, 2.0).unwrap();
-        let eq =
-            solve_connected_miner_subgame(&params, &prices, &[200.0; 5], &SubgameConfig::default())
-                .unwrap();
+        let eq = TieredSolver::connected(&params, &prices, &[200.0; 5], &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         let report = MarketReport::new(&params, &prices, &eq);
         assert!((report.esp_revenue - 4.0 * report.edge_units).abs() < 1e-9);
         assert!((report.csp_revenue - 2.0 * report.cloud_units).abs() < 1e-9);
@@ -125,9 +126,10 @@ mod tests {
         // identity pins the efficiency gap to the resource burn.
         let params = MarketParams::builder().build().unwrap();
         let prices = Prices::new(4.0, 2.0).unwrap();
-        let eq =
-            solve_connected_miner_subgame(&params, &prices, &[200.0; 5], &SubgameConfig::default())
-                .unwrap();
+        let eq = TieredSolver::connected(&params, &prices, &[200.0; 5], &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         let report = MarketReport::new(&params, &prices, &eq);
         let ceiling = welfare_upper_bound_connected(&params);
         assert!((ceiling - 100.0 * (1.0 - 0.2 * 0.2)).abs() < 1e-12);
@@ -173,9 +175,10 @@ mod tests {
         let params = MarketParams::builder().build().unwrap();
         let prices = Prices::new(4.0, 2.0).unwrap();
         let budgets = [50.0; 5];
-        let eq =
-            solve_connected_miner_subgame(&params, &prices, &budgets, &SubgameConfig::default())
-                .unwrap();
+        let eq = TieredSolver::connected(&params, &prices, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         let report = MarketReport::new(&params, &prices, &eq);
         assert!(report.sp_revenue() <= 250.0 + 1e-6);
     }

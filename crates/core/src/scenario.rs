@@ -23,6 +23,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::MarketReport;
@@ -30,10 +32,7 @@ use crate::error::MiningGameError;
 pub use crate::params::EdgeOperation;
 use crate::params::{validate_budgets, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
-use crate::solver::{
-    solve_connected_reported, solve_standalone_reported, solve_symmetric_connected_reported,
-    solve_symmetric_dynamic_reported, solve_symmetric_standalone_reported, SolveReport,
-};
+use crate::solver::{SolveReport, TieredSolver};
 use crate::stackelberg::{solve_connected, solve_standalone, StackelbergConfig};
 use crate::subgame::dynamic::{DynamicConfig, Population};
 use crate::subgame::MinerEquilibrium;
@@ -194,13 +193,9 @@ impl Scenario {
             }
             PopulationSpec::Dynamic { budget, ref population } => {
                 let prices = self.dynamic_prices()?;
-                let (per_miner, report) = solve_symmetric_dynamic_reported(
-                    &self.params,
-                    &prices,
-                    budget,
-                    population,
-                    &self.dynamic,
-                )?;
+                let (per_miner, report) =
+                    TieredSolver::dynamic(&self.params, &prices, budget, population, &self.dynamic)
+                        .solve_per_miner()?;
                 Ok((self.dynamic_outcome(prices, per_miner, population), report))
             }
         }
@@ -245,22 +240,16 @@ impl Scenario {
                 ))
             }
         };
+        let (params, cfg) = (&self.params, &self.stackelberg.subgame);
         match self.operation {
-            EdgeOperation::Connected => solve_symmetric_connected_reported(
-                &self.params,
-                &prices,
-                budget,
-                n,
-                &self.stackelberg.subgame,
-            ),
-            EdgeOperation::Standalone => solve_symmetric_standalone_reported(
-                &self.params,
-                &prices,
-                budget,
-                n,
-                &self.stackelberg.subgame,
-            ),
+            EdgeOperation::Connected => {
+                TieredSolver::symmetric_connected(params, &prices, budget, n, cfg)
+            }
+            EdgeOperation::Standalone => {
+                TieredSolver::symmetric_standalone(params, &prices, budget, n, cfg)
+            }
         }
+        .solve_per_miner()
     }
 
     fn follower_solve_reported(
@@ -268,14 +257,12 @@ impl Scenario {
         prices: &Prices,
         budgets: &[f64],
     ) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
+        let (params, cfg) = (&self.params, &self.stackelberg.subgame);
         match self.operation {
-            EdgeOperation::Connected => {
-                solve_connected_reported(&self.params, prices, budgets, &self.stackelberg.subgame)
-            }
-            EdgeOperation::Standalone => {
-                solve_standalone_reported(&self.params, prices, budgets, &self.stackelberg.subgame)
-            }
+            EdgeOperation::Connected => TieredSolver::connected(params, prices, budgets, cfg),
+            EdgeOperation::Standalone => TieredSolver::standalone(params, prices, budgets, cfg),
         }
+        .solve_equilibrium()
     }
 
     fn dynamic_prices(&self) -> Result<Prices, MiningGameError> {
@@ -326,7 +313,6 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::params::Provider;
-    use crate::subgame::connected::solve_symmetric_connected;
 
     fn params() -> MarketParams {
         MarketParams::builder()
@@ -398,14 +384,10 @@ mod tests {
             .with_prices(prices)
             .solve_symmetric()
             .unwrap();
-        let direct = solve_symmetric_connected(
-            &params(),
-            &prices,
-            200.0,
-            5,
-            &StackelbergConfig::default().subgame,
-        )
-        .unwrap();
+        let cfg = StackelbergConfig::default().subgame;
+        let (direct, _) = TieredSolver::symmetric_connected(&params(), &prices, 200.0, 5, &cfg)
+            .solve_per_miner()
+            .unwrap();
         assert_eq!(via_scenario.edge.to_bits(), direct.edge.to_bits());
         assert_eq!(via_scenario.cloud.to_bits(), direct.cloud.to_bits());
     }

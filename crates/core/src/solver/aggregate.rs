@@ -453,6 +453,7 @@ pub(crate) fn run_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::TieredSolver;
 
     #[test]
     fn chunked_sum_matches_flat_sum_for_small_inputs() {
@@ -480,10 +481,10 @@ mod tests {
         let budgets = [200.0, 120.0, 60.0, 200.0, 90.0];
         let cfg = SubgameConfig::default();
         let (legacy, _) =
-            crate::solver::solve_connected_reported(&params, &prices, &budgets, &cfg).unwrap();
-        let (agg, report) =
-            crate::solver::solve_aggregate_connected_reported(&params, &prices, &budgets, &cfg)
-                .unwrap();
+            TieredSolver::connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
+        let (agg, report) = TieredSolver::aggregate_connected(&params, &prices, &budgets, &cfg)
+            .solve_equilibrium()
+            .unwrap();
         assert_eq!(report.method, crate::solver::SolveMethod::AggregateBestResponse);
         assert!(report.fallback_hops.is_empty(), "{:?}", report.fallback_hops);
         for (a, l) in agg.requests.iter().zip(&legacy.requests) {
@@ -505,10 +506,10 @@ mod tests {
         let budgets = [150.0, 80.0, 220.0];
         let cfg = SubgameConfig::default();
         let (legacy, _) =
-            crate::solver::solve_standalone_reported(&params, &prices, &budgets, &cfg).unwrap();
-        let (agg, report) =
-            crate::solver::solve_aggregate_standalone_reported(&params, &prices, &budgets, &cfg)
-                .unwrap();
+            TieredSolver::standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
+        let (agg, report) = TieredSolver::aggregate_standalone(&params, &prices, &budgets, &cfg)
+            .solve_equilibrium()
+            .unwrap();
         assert_eq!(report.method, crate::solver::SolveMethod::AggregateBestResponse);
         for (a, l) in agg.requests.iter().zip(&legacy.requests) {
             assert!((a.edge - l.edge).abs() < 1e-3, "{a:?} vs {l:?}");
@@ -528,9 +529,9 @@ mod tests {
         let prices = Prices::new(4.0, 2.0).unwrap();
         let budgets = [200.0; 4];
         let cfg = SubgameConfig::default();
-        let (agg, _) =
-            crate::solver::solve_aggregate_standalone_reported(&params, &prices, &budgets, &cfg)
-                .unwrap();
+        let (agg, _) = TieredSolver::aggregate_standalone(&params, &prices, &budgets, &cfg)
+            .solve_equilibrium()
+            .unwrap();
         assert!((agg.aggregates.edge - 2.0).abs() < 1e-3, "E = {}", agg.aggregates.edge);
         for r in &agg.requests {
             assert!((r.edge - 0.5).abs() < 1e-3, "{r:?}");

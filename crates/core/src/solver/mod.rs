@@ -25,7 +25,10 @@
 //! heap allocation on the symmetric hot paths) and returns a [`Solved`]
 //! carrying a structured [`SolveReport`]: method actually used, fallback
 //! hops, iterations, residual, certificate residual and any
-//! [`SubgameConfig`] values the chain clamped.
+//! [`SubgameConfig`] values the chain clamped. Callers without a workspace
+//! of their own use [`TieredSolver::solve_equilibrium`] or
+//! [`TieredSolver::solve_per_miner`], which solve on this thread's shared
+//! one.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -55,15 +58,16 @@ use aggregate::run_aggregate;
 use crate::error::MiningGameError;
 use crate::params::{validate_budgets, validate_prices, EdgeOperation, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
-use crate::subgame::connected::{symmetric_connected_core, ConnectedMinerGame};
+use crate::subgame::connected::ConnectedMinerGame;
 use crate::subgame::dynamic::{
-    symmetric_continuous_core, symmetric_dynamic_core, validate_continuous, validate_dynamic,
-    DynamicConfig, FixedPointBudget, Population,
+    best_response, best_response_to_objective, expected_utility_continuous, validate_continuous,
+    validate_dynamic, DynamicConfig, Population,
 };
 use crate::subgame::homogeneous::{homogeneous_core, Regime};
-use crate::subgame::standalone::{symmetric_standalone_core, StandaloneMinerGame};
+use crate::subgame::standalone::StandaloneMinerGame;
 use crate::subgame::{
-    budget_product, equilibrium_certificate, MinerEquilibrium, SubgameConfig, SymRun,
+    budget_product, equilibrium_certificate, initial_request, symmetric_best_response,
+    symmetric_fixed_point, symmetric_start, FixedPointBudget, MinerEquilibrium, SubgameConfig,
 };
 use crate::winning::{utility_connected, utility_standalone};
 use workspace::ensure_pairs;
@@ -437,6 +441,39 @@ impl<'a> TieredSolver<'a> {
         }
     }
 
+    /// Solves on this thread's shared workspace
+    /// ([`SolveWorkspace::with_thread_local`]) and returns the per-miner
+    /// equilibrium with the report. The per-miner vectors are empty when a
+    /// symmetric, closed-form or dynamic tier answered; use
+    /// [`TieredSolver::solve_per_miner`] for those chains.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter and (terminal) convergence errors.
+    pub fn solve_equilibrium(&self) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
+        SolveWorkspace::with_thread_local(|ws| {
+            let solved = self.solve(ws)?;
+            Ok((ws.equilibrium(&solved), solved.report))
+        })
+    }
+
+    /// Solves on this thread's shared workspace and returns the symmetric
+    /// per-miner request with the report: [`Solved::per_miner`], or the
+    /// first miner's request when a full N-miner tier answered. A caller
+    /// that needs the closed-form [`Regime`] reads [`Solved::regime`] from
+    /// [`FollowerSolver::solve`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter and (terminal) convergence errors.
+    pub fn solve_per_miner(&self) -> Result<(Request, SolveReport), MiningGameError> {
+        SolveWorkspace::with_thread_local(|ws| {
+            let solved = self.solve(ws)?;
+            let x = solved.per_miner.or_else(|| ws.requests.first().copied()).unwrap_or_default();
+            Ok((x, solved.report))
+        })
+    }
+
     /// The same problem re-pointed at different prices (the continuation
     /// layer walks a price grid with one solver definition).
     fn at_prices<'b>(&'b self, prices: &'b Prices) -> TieredSolver<'b> {
@@ -580,18 +617,16 @@ impl<'a> TieredSolver<'a> {
                     salvage,
                 )
             }
-            (FollowerProblem::Symmetric { mode, budget, n, cfg }, TierSpec::SymmetricFp) => {
-                let omega = symmetric_damping(cfg, *mode, *n) * damping_scale;
+            (&FollowerProblem::Symmetric { mode, budget, n, cfg }, TierSpec::SymmetricFp) => {
+                let omega = symmetric_damping(&cfg, mode, n) * damping_scale;
                 if omega != cfg.damping {
                     overrides.damping =
                         Some(ConfigOverride { requested: cfg.damping, effective: omega });
                 }
-                let core = match mode {
-                    EdgeOperation::Connected => symmetric_connected_core,
-                    EdgeOperation::Standalone => symmetric_standalone_core,
-                };
-                sym_tier(*n, ws, salvage, |best| {
-                    core(params, prices, *budget, *n, omega, cfg.tol, cfg.max_iter, best)
+                let fp = FixedPointBudget { omega, tol: cfg.tol, max_iter: cfg.max_iter };
+                let start = symmetric_start(mode, params, prices, budget, n)?;
+                sym_tier(n, start, fp, ws, salvage, |x| {
+                    symmetric_best_response(mode, params, prices, budget, n, x)
                 })
             }
             (FollowerProblem::Homogeneous { budget, n }, TierSpec::ClosedForm) => {
@@ -603,23 +638,30 @@ impl<'a> TieredSolver<'a> {
                 Ok(run)
             }
             (
-                FollowerProblem::Dynamic { budget, pop, cfg },
+                &FollowerProblem::Dynamic { budget, pop, cfg },
                 TierSpec::ExpectationFp { boosted },
             ) => {
                 let fp = expectation_budget(cfg, pop.mean(), boosted, damping_scale, overrides);
                 let n = pop.mean().round().max(2.0) as usize;
-                sym_tier(n, ws, salvage, |best| {
-                    symmetric_dynamic_core(params, prices, *budget, pop, fp, best)
+                sym_tier(n, initial_request(budget, prices)?, fp, ws, salvage, |x| {
+                    best_response(x, budget, pop, params, prices, cfg.mixing, x)
                 })
             }
             (
-                FollowerProblem::Continuous { budget, mean, sd, cfg },
+                &FollowerProblem::Continuous { budget, mean, sd, cfg },
                 TierSpec::ExpectationFp { boosted },
             ) => {
-                let fp = expectation_budget(cfg, *mean, boosted, damping_scale, overrides);
+                let fp = expectation_budget(cfg, mean, boosted, damping_scale, overrides);
                 let n = mean.round().max(2.0) as usize;
-                sym_tier(n, ws, salvage, |best| {
-                    symmetric_continuous_core(params, prices, *budget, *mean, *sd, fp, best)
+                let gh = mbm_numerics::quadrature::GaussHermite::new(40)?;
+                sym_tier(n, initial_request(budget, prices)?, fp, ws, salvage, |x| {
+                    let u = |e, c| {
+                        let own = Request { edge: e, cloud: c };
+                        expected_utility_continuous(
+                            own, x, mean, sd, &gh, params, prices, cfg.mixing,
+                        )
+                    };
+                    best_response_to_objective(u, budget, prices, x)
                 })
             }
             _ => Err(MiningGameError::invalid("tier does not apply to this problem")),
@@ -994,17 +1036,19 @@ fn sym_tier_run(x: Request, n: usize, iterations: usize, residual: f64) -> TierR
     }
 }
 
-/// Runs one symmetric fixed-point core over `n` miners: the answer is one
-/// request, so the per-miner buffers are cleared; on failure the core's
-/// best-so-far iterate becomes the salvage.
+/// Runs the [`symmetric_fixed_point`] of `best_response` from `start` for `n`
+/// miners: the answer is one request, so the per-miner buffers are cleared;
+/// on failure the kernel's best-so-far iterate becomes the salvage.
 fn sym_tier(
     n: usize,
+    start: Request,
+    fp: FixedPointBudget,
     ws: &mut SolveWorkspace,
     salvage: &mut Option<TierRun>,
-    core: impl FnOnce(&mut Option<SymRun>) -> Result<SymRun, MiningGameError>,
+    best_response: impl FnMut(Request) -> Result<Request, MiningGameError>,
 ) -> Result<TierRun, MiningGameError> {
     let mut best = None;
-    match core(&mut best) {
+    match symmetric_fixed_point(start, fp, &mut best, best_response) {
         Ok(run) => {
             ws.requests.clear();
             ws.utilities.clear();
@@ -1020,9 +1064,10 @@ fn sym_tier(
 }
 
 /// The damped expectation fixed point's budget for one tier of a dynamic or
-/// continuous chain: the unboosted tier records the `ω` and `tol` clamps, the
-/// boosted one halves `ω` and raises the iteration cap; any retry damping
-/// scale is recorded.
+/// continuous chain ([`SubgameConfig::effective_damping_dynamic`] and
+/// [`SubgameConfig::effective_tol_dynamic`]): the unboosted tier records the
+/// `ω` and `tol` clamps, the boosted one halves `ω` and raises the iteration
+/// cap; any retry damping scale is recorded.
 fn expectation_budget(
     cfg: &DynamicConfig,
     mean_n: f64,
@@ -1047,7 +1092,7 @@ fn expectation_budget(
     if damping_scale != 1.0 {
         overrides.damping = Some(ConfigOverride { requested: sub.damping, effective: omega });
     }
-    FixedPointBudget { mixing: cfg.mixing, omega, tol, max_iter }
+    FixedPointBudget { omega, tol, max_iter }
 }
 
 fn fill_requests_from_pairs(requests: &mut Vec<Request>, flat: &[f64]) {
@@ -1106,184 +1151,4 @@ fn run_kernel<G: Game, S: ConvexSet>(
         Kernel::Extragradient => gnep.solution(),
     });
     Ok((iterations, residual, failure))
-}
-
-// ---------------------------------------------------------------------------
-// Reported entry points: the thin consumers the legacy free functions and
-// the scenario facade delegate to. All reuse the thread-local workspace.
-// ---------------------------------------------------------------------------
-
-/// Solves the heterogeneous connected subgame, returning the equilibrium
-/// and the solve report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_connected_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::connected(params, prices, budgets, cfg).solve(ws)?;
-        Ok((ws.equilibrium(&solved), solved.report))
-    })
-}
-
-/// Solves the heterogeneous standalone subgame, returning the equilibrium
-/// and the solve report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_standalone_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::standalone(params, prices, budgets, cfg).solve(ws)?;
-        Ok((ws.equilibrium(&solved), solved.report))
-    })
-}
-
-/// Solves the heterogeneous connected subgame via the aggregate-form O(N)
-/// chain (chunked Jacobi sweep with legacy escalation), returning the
-/// equilibrium and the solve report. Parallelized on the global pool;
-/// results are bitwise identical at any pool size.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_aggregate_connected_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::aggregate_connected(params, prices, budgets, cfg).solve(ws)?;
-        Ok((ws.equilibrium(&solved), solved.report))
-    })
-}
-
-/// Solves the heterogeneous standalone subgame via the aggregate-form O(N)
-/// chain, returning the equilibrium and the solve report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_aggregate_standalone_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<(MinerEquilibrium, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::aggregate_standalone(params, prices, budgets, cfg).solve(ws)?;
-        Ok((ws.equilibrium(&solved), solved.report))
-    })
-}
-
-/// Symmetric connected fast path with report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_symmetric_connected_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    cfg: &SubgameConfig,
-) -> Result<(Request, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::symmetric_connected(params, prices, budget, n, cfg).solve(ws)?;
-        Ok((per_miner_of(&solved, ws), solved.report))
-    })
-}
-
-/// Symmetric standalone fast path with report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_symmetric_standalone_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    cfg: &SubgameConfig,
-) -> Result<(Request, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved =
-            TieredSolver::symmetric_standalone(params, prices, budget, n, cfg).solve(ws)?;
-        Ok((per_miner_of(&solved, ws), solved.report))
-    })
-}
-
-/// Theorem 3 / Corollary 1 closed form with report.
-///
-/// # Errors
-///
-/// Propagates validity-region and parameter errors.
-pub fn solve_homogeneous_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-) -> Result<(Request, Regime, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::homogeneous(params, prices, budget, n).solve(ws)?;
-        let regime = solved
-            .regime
-            .ok_or_else(|| MiningGameError::invalid("closed-form tier did not report a regime"))?;
-        Ok((per_miner_of(&solved, ws), regime, solved.report))
-    })
-}
-
-/// Dynamic (discrete population) fixed point with report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_symmetric_dynamic_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    pop: &Population,
-    cfg: &DynamicConfig,
-) -> Result<(Request, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::dynamic(params, prices, budget, pop, cfg).solve(ws)?;
-        Ok((per_miner_of(&solved, ws), solved.report))
-    })
-}
-
-/// Continuous-population fixed point with report.
-///
-/// # Errors
-///
-/// Propagates parameter and (terminal) convergence errors.
-pub fn solve_symmetric_continuous_reported(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    mean: f64,
-    sd: f64,
-    cfg: &DynamicConfig,
-) -> Result<(Request, SolveReport), MiningGameError> {
-    SolveWorkspace::with_thread_local(|ws| {
-        let solved = TieredSolver::continuous(params, prices, budget, mean, sd, cfg).solve(ws)?;
-        Ok((per_miner_of(&solved, ws), solved.report))
-    })
-}
-
-/// The symmetric per-miner request of a solve: directly from symmetric
-/// tiers, or the first miner's request when a full-solve escalation tier
-/// produced the answer.
-fn per_miner_of(solved: &Solved, ws: &SolveWorkspace) -> Request {
-    solved.per_miner.or_else(|| ws.requests.first().copied()).unwrap_or_default()
 }

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::MiningGameError;
 use crate::market::{PriceVector, ProviderSet};
 use crate::params::{validate_budgets, EdgeOperation, MarketParams, Prices};
-use crate::solver::{solve_connected_reported, solve_standalone_reported, SolveReport};
+use crate::solver::{SolveReport, TieredSolver};
 use crate::sp::cache::CachedStage;
 use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
@@ -325,12 +325,13 @@ fn solve(
     let effective = prices.effective();
     let (equilibrium, report) = match mode {
         EdgeOperation::Connected => {
-            solve_connected_reported(params, &effective, budgets, &cfg.subgame)?
+            TieredSolver::connected(params, &effective, budgets, &cfg.subgame)
         }
         EdgeOperation::Standalone => {
-            solve_standalone_reported(params, &effective, budgets, &cfg.subgame)?
+            TieredSolver::standalone(params, &effective, budgets, &cfg.subgame)
         }
-    };
+    }
+    .solve_equilibrium()?;
     Ok(OligopolySolution {
         prices: prices.to_vec(),
         demand: prices.allocate_demand(&equilibrium.aggregates),

@@ -29,7 +29,6 @@ use mbm_numerics::roots::{brent, expand_bracket};
 use crate::error::MiningGameError;
 use crate::params::{validate_budgets, MarketParams, Prices};
 use crate::request::Request;
-use crate::subgame::{MinerEquilibrium, SubgameConfig, SymRun};
 use crate::winning::{utility_connected, utility_gradient};
 
 /// Inputs of the analytic best response, independent of the game wiring.
@@ -310,101 +309,11 @@ impl Game for ConnectedMinerGame {
     }
 }
 
-/// Solves the connected-mode miner subgame by damped best-response dynamics
-/// (the follower half of the paper's Algorithm 1).
-///
-/// # Errors
-///
-/// Propagates parameter and convergence errors.
-pub fn solve_connected_miner_subgame(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<MinerEquilibrium, MiningGameError> {
-    crate::solver::solve_connected_reported(params, prices, budgets, cfg).map(|(eq, _)| eq)
-}
-
-/// Fast path for homogeneous miners: the symmetric equilibrium as a damped
-/// fixed point of the single-miner best response against `n − 1` copies of
-/// itself. Used by the leader stage, which evaluates thousands of follower
-/// equilibria during price search.
-///
-/// # Errors
-///
-/// Propagates parameter and convergence errors.
-pub fn solve_symmetric_connected(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    cfg: &SubgameConfig,
-) -> Result<Request, MiningGameError> {
-    crate::solver::solve_symmetric_connected_reported(params, prices, budget, n, cfg)
-        .map(|(r, _)| r)
-}
-
-/// The symmetric connected fixed point itself: tier 1 of the symmetric
-/// chain. `omega` is the *effective* damping
-/// ([`SubgameConfig::effective_damping_symmetric_connected`]); the
-/// `3/(n + 2)` clamp exists because the symmetric best-response map has
-/// slope ≈ `1 − n/2` at the fixed point (the √-shaped KKT targets), so
-/// stability requires damping below ~`4/n` and `3/(n + 2)` keeps a
-/// contraction factor ≈ 1/2 at every `n`.
-#[allow(clippy::too_many_arguments)] // iteration budget plus the supervision salvage slot
-pub(crate) fn symmetric_connected_core(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    omega: f64,
-    tol: f64,
-    max_iter: usize,
-    salvage: &mut Option<SymRun>,
-) -> Result<SymRun, MiningGameError> {
-    let mut x =
-        Request { edge: budget / (4.0 * prices.edge), cloud: budget / (4.0 * prices.cloud) };
-    let m = (n - 1) as f64;
-    let mut residual = f64::INFINITY;
-    for k in 0..max_iter {
-        *salvage = Some(SymRun { x, iterations: k, residual });
-        mbm_numerics::supervision::checkpoint(
-            mbm_faults::sites::SYMMETRIC_FP,
-            k,
-            max_iter,
-            residual,
-        )?;
-        let inp = BestResponseInputs {
-            reward: params.reward(),
-            beta: params.fork_rate(),
-            h: params.edge_availability(),
-            prices: *prices,
-            budget,
-            e_others: m * x.edge,
-            s_others: m * x.total(),
-            edge_cap: None,
-        };
-        let br = analytic_best_response(&inp)?;
-        let next = Request {
-            edge: (1.0 - omega) * x.edge + omega * br.edge,
-            cloud: (1.0 - omega) * x.cloud + omega * br.cloud,
-        };
-        residual = (next.edge - x.edge).abs().max((next.cloud - x.cloud).abs());
-        x = next;
-        if residual <= tol {
-            return Ok(SymRun { x, iterations: k + 1, residual });
-        }
-    }
-    *salvage = Some(SymRun { x, iterations: max_iter, residual });
-    Err(MiningGameError::Game(mbm_game::GameError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::TieredSolver;
+    use crate::subgame::SubgameConfig;
     use mbm_game::nash::epsilon_equilibrium;
 
     fn params() -> MarketParams {
@@ -535,8 +444,10 @@ mod tests {
         let p = params();
         let pr = prices();
         let budgets = vec![200.0, 120.0, 60.0, 200.0, 90.0];
-        let eq =
-            solve_connected_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
+        let eq = TieredSolver::connected(&p, &pr, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         let game = ConnectedMinerGame::new(p, pr, budgets).unwrap();
         let blocks: Vec<Vec<f64>> = eq.requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
         let profile = Profile::from_blocks(&blocks).unwrap();
@@ -549,8 +460,10 @@ mod tests {
         let p = params();
         let pr = prices();
         let budgets = vec![50.0, 100.0];
-        let eq =
-            solve_connected_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
+        let eq = TieredSolver::connected(&p, &pr, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         for (r, &b) in eq.requests.iter().zip(&budgets) {
             assert!(r.edge >= 0.0 && r.cloud >= 0.0);
             assert!(r.cost(&pr) <= b + 1e-7, "cost {} > budget {b}", r.cost(&pr));
@@ -563,10 +476,14 @@ mod tests {
         let pr = prices();
         let n = 5;
         let budget = 200.0;
-        let sym = solve_symmetric_connected(&p, &pr, budget, n, &SubgameConfig::default()).unwrap();
-        let eq =
-            solve_connected_miner_subgame(&p, &pr, &vec![budget; n], &SubgameConfig::default())
-                .unwrap();
+        let sym = TieredSolver::symmetric_connected(&p, &pr, budget, n, &SubgameConfig::default())
+            .solve_per_miner()
+            .unwrap()
+            .0;
+        let eq = TieredSolver::connected(&p, &pr, &vec![budget; n], &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         for r in &eq.requests {
             assert!((r.edge - sym.edge).abs() < 1e-5, "{r:?} vs {sym:?}");
             assert!((r.cloud - sym.cloud).abs() < 1e-5, "{r:?} vs {sym:?}");
@@ -577,32 +494,43 @@ mod tests {
     fn higher_cloud_price_pushes_miners_to_the_edge() {
         // The paper's Fig. 4: raising P_c raises equilibrium edge demand.
         let p = params();
-        let cheap = solve_symmetric_connected(
+        let cheap = TieredSolver::symmetric_connected(
             &p,
             &Prices::new(4.0, 1.5).unwrap(),
             200.0,
             5,
             &SubgameConfig::default(),
         )
-        .unwrap();
-        let dear = solve_symmetric_connected(
+        .solve_per_miner()
+        .unwrap()
+        .0;
+        let dear = TieredSolver::symmetric_connected(
             &p,
             &Prices::new(4.0, 3.0).unwrap(),
             200.0,
             5,
             &SubgameConfig::default(),
         )
-        .unwrap();
+        .solve_per_miner()
+        .unwrap()
+        .0;
         assert!(dear.edge > cheap.edge, "{dear:?} vs {cheap:?}");
     }
 
     #[test]
     fn single_miner_is_rejected() {
         let p = params();
-        assert!(solve_connected_miner_subgame(&p, &prices(), &[100.0], &SubgameConfig::default())
+        assert!(TieredSolver::connected(&p, &prices(), &[100.0], &SubgameConfig::default())
+            .solve_equilibrium()
             .is_err());
-        assert!(
-            solve_symmetric_connected(&p, &prices(), 100.0, 1, &SubgameConfig::default()).is_err()
-        );
+        assert!(TieredSolver::symmetric_connected(
+            &p,
+            &prices(),
+            100.0,
+            1,
+            &SubgameConfig::default()
+        )
+        .solve_per_miner()
+        .is_err());
     }
 }

@@ -15,8 +15,9 @@
 //! availability `h = ω`, which is the baseline the paper compares against.
 //!
 //! No closed form exists (the paper resorts to numerics as well); we solve
-//! the symmetric equilibrium by a damped fixed point over numeric best
-//! responses.
+//! the symmetric equilibrium by a damped fixed point over the numeric
+//! [`best_response`] ([`crate::solver::TieredSolver::dynamic`], and
+//! [`crate::solver::TieredSolver::continuous`] for the Gauss–Hermite model).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -27,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::MiningGameError;
 use crate::params::{MarketParams, Prices};
 use crate::request::Request;
-use crate::subgame::{SubgameConfig, SymRun};
+use crate::subgame::SubgameConfig;
 
 /// A discretized random miner population.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -282,24 +283,6 @@ pub fn expected_utility_continuous(
     params.reward() * w - own.cost(prices)
 }
 
-/// Symmetric equilibrium under the continuous-Gaussian population model
-/// (ablation counterpart of [`solve_symmetric_dynamic`]).
-///
-/// # Errors
-///
-/// Propagates parameter and convergence errors.
-pub fn solve_symmetric_continuous(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    mean: f64,
-    sd: f64,
-    cfg: &DynamicConfig,
-) -> Result<Request, MiningGameError> {
-    crate::solver::solve_symmetric_continuous_reported(params, prices, budget, mean, sd, cfg)
-        .map(|(r, _)| r)
-}
-
 /// Validation shared by the continuous chain entry: Gaussian population
 /// moments must describe at least two expected miners.
 pub(crate) fn validate_continuous(mean: f64, sd: f64) -> Result<(), MiningGameError> {
@@ -309,94 +292,6 @@ pub(crate) fn validate_continuous(mean: f64, sd: f64) -> Result<(), MiningGameEr
         )));
     }
     Ok(())
-}
-
-/// Effective iteration controls of the damped expectation fixed point:
-/// the belief-mixing weight plus the *effective* damping/tolerance/cap
-/// budgets ([`SubgameConfig::effective_damping_dynamic`] and
-/// [`SubgameConfig::effective_tol_dynamic`]) the tier resolved for this
-/// solve.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FixedPointBudget {
-    pub mixing: f64,
-    pub omega: f64,
-    pub tol: f64,
-    pub max_iter: usize,
-}
-
-/// The continuous-population damped fixed point itself: tier 1 of the
-/// continuous dynamic chain.
-pub(crate) fn symmetric_continuous_core(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    mean: f64,
-    sd: f64,
-    fp: FixedPointBudget,
-    salvage: &mut Option<SymRun>,
-) -> Result<SymRun, MiningGameError> {
-    let FixedPointBudget { mixing, omega, tol, max_iter } = fp;
-    let gh = mbm_numerics::quadrature::GaussHermite::new(40)?;
-    let mut x =
-        Request { edge: budget / (4.0 * prices.edge), cloud: budget / (4.0 * prices.cloud) };
-    let mut residual = f64::INFINITY;
-    for k in 0..max_iter {
-        *salvage = Some(SymRun { x, iterations: k, residual });
-        mbm_numerics::supervision::checkpoint(
-            mbm_faults::sites::SYMMETRIC_FP,
-            k,
-            max_iter,
-            residual,
-        )?;
-        let br = best_response_to_objective(
-            |e, c| {
-                expected_utility_continuous(
-                    Request { edge: e, cloud: c },
-                    x,
-                    mean,
-                    sd,
-                    &gh,
-                    params,
-                    prices,
-                    mixing,
-                )
-            },
-            budget,
-            prices,
-            x,
-        )?;
-        let next = Request {
-            edge: (1.0 - omega) * x.edge + omega * br.edge,
-            cloud: (1.0 - omega) * x.cloud + omega * br.cloud,
-        };
-        residual = (next.edge - x.edge).abs().max((next.cloud - x.cloud).abs());
-        x = next;
-        if residual <= tol {
-            return Ok(SymRun { x, iterations: k + 1, residual });
-        }
-    }
-    *salvage = Some(SymRun { x, iterations: max_iter, residual });
-    Err(MiningGameError::Game(mbm_game::GameError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    }))
-}
-
-/// Symmetric equilibrium of the dynamic-population game: the damped fixed
-/// point `x ← BR(x)` over homogeneous miners with budget `budget`.
-///
-/// # Errors
-///
-/// Propagates parameter and convergence errors.
-pub fn solve_symmetric_dynamic(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    pop: &Population,
-    cfg: &DynamicConfig,
-) -> Result<Request, MiningGameError> {
-    crate::solver::solve_symmetric_dynamic_reported(params, prices, budget, pop, cfg)
-        .map(|(r, _)| r)
 }
 
 /// Validation shared by the dynamic chain entry: positive budget, mixing
@@ -414,52 +309,10 @@ pub(crate) fn validate_dynamic(budget: f64, cfg: &DynamicConfig) -> Result<(), M
     Ok(())
 }
 
-/// The discrete-population damped fixed point itself: tier 1 of the dynamic
-/// chain. The `3/(μ + 2)` clamp behind the `omega` argument exists because
-/// the symmetric BR map steepens with the (expected) population size — see
-/// `symmetric_connected_core` — so the damping shrinks like `1/μ`.
-pub(crate) fn symmetric_dynamic_core(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    pop: &Population,
-    fp: FixedPointBudget,
-    salvage: &mut Option<SymRun>,
-) -> Result<SymRun, MiningGameError> {
-    let FixedPointBudget { mixing, omega, tol, max_iter } = fp;
-    let mut x =
-        Request { edge: budget / (4.0 * prices.edge), cloud: budget / (4.0 * prices.cloud) };
-    let mut residual = f64::INFINITY;
-    for k in 0..max_iter {
-        *salvage = Some(SymRun { x, iterations: k, residual });
-        mbm_numerics::supervision::checkpoint(
-            mbm_faults::sites::SYMMETRIC_FP,
-            k,
-            max_iter,
-            residual,
-        )?;
-        let br = best_response(x, budget, pop, params, prices, mixing, x)?;
-        let next = Request {
-            edge: (1.0 - omega) * x.edge + omega * br.edge,
-            cloud: (1.0 - omega) * x.cloud + omega * br.cloud,
-        };
-        residual = (next.edge - x.edge).abs().max((next.cloud - x.cloud).abs());
-        x = next;
-        if residual <= tol {
-            return Ok(SymRun { x, iterations: k + 1, residual });
-        }
-    }
-    *salvage = Some(SymRun { x, iterations: max_iter, residual });
-    Err(MiningGameError::Game(mbm_game::GameError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subgame::connected::solve_symmetric_connected;
+    use crate::solver::TieredSolver;
 
     fn params() -> MarketParams {
         MarketParams::builder().reward(100.0).fork_rate(0.2).edge_availability(0.8).build().unwrap()
@@ -510,8 +363,12 @@ mod tests {
         let p = params(); // h = 0.8 = omega
         let pop = Population::fixed(n).unwrap();
         let cfg = DynamicConfig { mixing: omega, ..Default::default() };
-        let dynamic = solve_symmetric_dynamic(&p, &pr, budget, &pop, &cfg).unwrap();
-        let connected = solve_symmetric_connected(&p, &pr, budget, n, &cfg.subgame).unwrap();
+        let dynamic =
+            TieredSolver::dynamic(&p, &pr, budget, &pop, &cfg).solve_per_miner().unwrap().0;
+        let connected = TieredSolver::symmetric_connected(&p, &pr, budget, n, &cfg.subgame)
+            .solve_per_miner()
+            .unwrap()
+            .0;
         assert!((dynamic.edge - connected.edge).abs() < 1e-3, "{dynamic:?} vs {connected:?}");
         assert!((dynamic.cloud - connected.cloud).abs() < 1e-3, "{dynamic:?} vs {connected:?}");
     }
@@ -524,16 +381,15 @@ mod tests {
         let pr = prices();
         let budget = 500.0;
         let cfg = DynamicConfig::default();
-        let fixed = solve_symmetric_dynamic(&p, &pr, budget, &Population::fixed(10).unwrap(), &cfg)
-            .unwrap();
-        let uncertain = solve_symmetric_dynamic(
-            &p,
-            &pr,
-            budget,
-            &Population::gaussian(10.0, 3.0).unwrap(),
-            &cfg,
-        )
-        .unwrap();
+        let fixed = TieredSolver::dynamic(&p, &pr, budget, &Population::fixed(10).unwrap(), &cfg)
+            .solve_per_miner()
+            .unwrap()
+            .0;
+        let uncertain =
+            TieredSolver::dynamic(&p, &pr, budget, &Population::gaussian(10.0, 3.0).unwrap(), &cfg)
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!(uncertain.edge > fixed.edge, "uncertain {uncertain:?} vs fixed {fixed:?}");
     }
 
@@ -544,22 +400,16 @@ mod tests {
         let pr = prices();
         let budget = 500.0;
         let cfg = DynamicConfig::default();
-        let lo = solve_symmetric_dynamic(
-            &p,
-            &pr,
-            budget,
-            &Population::gaussian(10.0, 1.0).unwrap(),
-            &cfg,
-        )
-        .unwrap();
-        let hi = solve_symmetric_dynamic(
-            &p,
-            &pr,
-            budget,
-            &Population::gaussian(10.0, 4.0).unwrap(),
-            &cfg,
-        )
-        .unwrap();
+        let lo =
+            TieredSolver::dynamic(&p, &pr, budget, &Population::gaussian(10.0, 1.0).unwrap(), &cfg)
+                .solve_per_miner()
+                .unwrap()
+                .0;
+        let hi =
+            TieredSolver::dynamic(&p, &pr, budget, &Population::gaussian(10.0, 4.0).unwrap(), &cfg)
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!(hi.edge > lo.edge, "hi {hi:?} vs lo {lo:?}");
     }
 
@@ -569,7 +419,7 @@ mod tests {
         let pr = prices();
         let pop = Population::gaussian(8.0, 2.0).unwrap();
         let cfg = DynamicConfig::default();
-        let eq = solve_symmetric_dynamic(&p, &pr, 300.0, &pop, &cfg).unwrap();
+        let eq = TieredSolver::dynamic(&p, &pr, 300.0, &pop, &cfg).solve_per_miner().unwrap().0;
         let br = best_response(eq, 300.0, &pop, &p, &pr, cfg.mixing, eq).unwrap();
         assert!((br.edge - eq.edge).abs() < 1e-4, "{br:?} vs {eq:?}");
         assert!((br.cloud - eq.cloud).abs() < 1e-4, "{br:?} vs {eq:?}");
@@ -583,15 +433,13 @@ mod tests {
         let pr = prices();
         let budget = 500.0;
         let cfg = DynamicConfig::default();
-        let discrete = solve_symmetric_dynamic(
-            &p,
-            &pr,
-            budget,
-            &Population::gaussian(10.0, 2.0).unwrap(),
-            &cfg,
-        )
-        .unwrap();
-        let continuous = solve_symmetric_continuous(&p, &pr, budget, 10.5, 2.0, &cfg).unwrap();
+        let discrete =
+            TieredSolver::dynamic(&p, &pr, budget, &Population::gaussian(10.0, 2.0).unwrap(), &cfg)
+                .solve_per_miner()
+                .unwrap()
+                .0;
+        let continuous =
+            TieredSolver::continuous(&p, &pr, budget, 10.5, 2.0, &cfg).solve_per_miner().unwrap().0;
         assert!(
             (discrete.edge - continuous.edge).abs() < 0.02 * discrete.edge.max(0.01),
             "discrete {discrete:?} vs continuous {continuous:?}"
@@ -601,7 +449,8 @@ mod tests {
             "discrete {discrete:?} vs continuous {continuous:?}"
         );
         // Without the shift correction the two differ measurably.
-        let unshifted = solve_symmetric_continuous(&p, &pr, budget, 10.0, 2.0, &cfg).unwrap();
+        let unshifted =
+            TieredSolver::continuous(&p, &pr, budget, 10.0, 2.0, &cfg).solve_per_miner().unwrap().0;
         assert!(unshifted.edge > continuous.edge);
     }
 
@@ -609,9 +458,11 @@ mod tests {
     fn continuous_solver_validates_inputs() {
         let p = params();
         let pr = prices();
-        assert!(solve_symmetric_continuous(&p, &pr, 100.0, 1.0, 2.0, &DynamicConfig::default())
+        assert!(TieredSolver::continuous(&p, &pr, 100.0, 1.0, 2.0, &DynamicConfig::default())
+            .solve_per_miner()
             .is_err());
-        assert!(solve_symmetric_continuous(&p, &pr, 100.0, 8.0, 0.0, &DynamicConfig::default())
+        assert!(TieredSolver::continuous(&p, &pr, 100.0, 8.0, 0.0, &DynamicConfig::default())
+            .solve_per_miner()
             .is_err());
     }
 
@@ -620,8 +471,10 @@ mod tests {
         let p = params();
         let pr = prices();
         let pop = Population::fixed(5).unwrap();
-        assert!(solve_symmetric_dynamic(&p, &pr, 0.0, &pop, &DynamicConfig::default()).is_err());
+        assert!(TieredSolver::dynamic(&p, &pr, 0.0, &pop, &DynamicConfig::default())
+            .solve_per_miner()
+            .is_err());
         let bad = DynamicConfig { mixing: 1.5, ..Default::default() };
-        assert!(solve_symmetric_dynamic(&p, &pr, 100.0, &pop, &bad).is_err());
+        assert!(TieredSolver::dynamic(&p, &pr, 100.0, &pop, &bad).solve_per_miner().is_err());
     }
 }

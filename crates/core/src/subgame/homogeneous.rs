@@ -106,28 +106,6 @@ pub fn corollary1_request(
     Request::new(e, s - e)
 }
 
-/// Selects the applicable regime and returns the corresponding closed-form
-/// symmetric equilibrium: Corollary 1 if its spending fits the budget,
-/// Theorem 3 otherwise.
-///
-/// Routes through the unified solver core so the solve is recorded in
-/// telemetry; use
-/// [`solve_homogeneous_reported`](crate::solver::solve_homogeneous_reported)
-/// to also get the [`SolveReport`](crate::solver::SolveReport).
-///
-/// # Errors
-///
-/// Propagates the validity-region and parameter errors of the two forms.
-pub fn homogeneous_equilibrium(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-) -> Result<(Request, Regime), MiningGameError> {
-    crate::solver::solve_homogeneous_reported(params, prices, budget, n)
-        .map(|(r, regime, _)| (r, regime))
-}
-
 /// The raw regime selection (tier body of the closed-form chain).
 pub(crate) fn homogeneous_core(
     params: &MarketParams,
@@ -146,7 +124,7 @@ pub(crate) fn homogeneous_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subgame::connected::solve_symmetric_connected;
+    use crate::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
     use crate::subgame::SubgameConfig;
 
     fn params() -> MarketParams {
@@ -183,7 +161,10 @@ mod tests {
         let n = 5;
         let closed = theorem3_request(&p, &prices, budget).unwrap();
         let numeric =
-            solve_symmetric_connected(&p, &prices, budget, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_connected(&p, &prices, budget, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!((closed.edge - numeric.edge).abs() < 1e-5, "{closed:?} vs {numeric:?}");
         assert!((closed.cloud - numeric.cloud).abs() < 1e-5, "{closed:?} vs {numeric:?}");
     }
@@ -196,7 +177,10 @@ mod tests {
         let n = 5;
         let closed = corollary1_request(&p, &prices, n).unwrap();
         let numeric =
-            solve_symmetric_connected(&p, &prices, budget, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_connected(&p, &prices, budget, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!((closed.edge - numeric.edge).abs() < 1e-6, "{closed:?} vs {numeric:?}");
         assert!((closed.cloud - numeric.cloud).abs() < 1e-6, "{closed:?} vs {numeric:?}");
     }
@@ -225,9 +209,14 @@ mod tests {
         let p = params();
         let prices = Prices::new(4.0, 2.0).unwrap();
         let n = 5;
-        let (_, regime_small) = homogeneous_equilibrium(&p, &prices, 10.0, n).unwrap();
+        let regime = |budget| {
+            let solver = TieredSolver::homogeneous(&p, &prices, budget, n);
+            let solved = SolveWorkspace::with_thread_local(|ws| solver.solve(ws)).unwrap();
+            solved.regime.expect("the closed-form tier reports its regime")
+        };
+        let regime_small = regime(10.0);
         assert_eq!(regime_small, Regime::BudgetBinding);
-        let (_, regime_large) = homogeneous_equilibrium(&p, &prices, 1e7, n).unwrap();
+        let regime_large = regime(1e7);
         assert_eq!(regime_large, Regime::SufficientBudget);
     }
 

@@ -10,6 +10,12 @@
 //!   equilibrium).
 //! * [`dynamic`] — Problem 1d: population uncertainty with
 //!   `N ~ Gaussian(μ, σ²)`.
+//!
+//! Every follower solve goes through [`crate::solver::TieredSolver`]; this
+//! module holds the games, the one [`equilibrium_certificate`] and the one
+//! damped symmetric fixed point the symmetric and dynamic chains iterate.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod connected;
 pub mod dynamic;
@@ -24,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::MiningGameError;
 use crate::params::{EdgeOperation, MarketParams, Prices};
 use crate::request::{Aggregates, Request};
-use connected::ConnectedMinerGame;
+use connected::{analytic_best_response, BestResponseInputs, ConnectedMinerGame};
 use standalone::StandaloneMinerGame;
 
 /// Configuration shared by the miner-subgame solvers.
@@ -66,23 +72,28 @@ impl SubgameConfig {
         self.max_iter.max(20_000)
     }
 
-    /// Damping actually used by the symmetric connected fixed point: the
-    /// synchronous update is contracting only for `ω ≲ 3/(n + 2)`, so larger
-    /// requested dampings are clamped.
+    /// Damping actually used by the symmetric connected fixed point. The
+    /// symmetric best-response map has slope ≈ `1 − n/2` at the fixed point
+    /// (the √-shaped KKT targets), so the synchronous update is contracting
+    /// only for `ω ≲ 4/n`; clamping at `3/(n + 2)` keeps a contraction
+    /// factor ≈ 1/2 at every `n`.
     #[must_use]
     pub fn effective_damping_symmetric_connected(&self, n: usize) -> f64 {
         self.damping.min(3.0 / (n as f64 + 2.0))
     }
 
-    /// Damping actually used by the symmetric standalone fixed point (the
-    /// shared capacity coupling needs the tighter `1.2/(n + 1)` clamp).
+    /// Damping actually used by the symmetric standalone fixed point. The
+    /// map is steeper than the connected one (in the capacity-binding branch
+    /// `e_i = E_max − (n−1)ē` has slope `−(n−1)`), so the damping must stay
+    /// below `2/n`; the `1.2/(n + 1)` clamp keeps a margin at every `n`.
     #[must_use]
     pub fn effective_damping_symmetric_standalone(&self, n: usize) -> f64 {
         self.damping.min(1.2 / (n as f64 + 1.0))
     }
 
     /// Damping actually used by the dynamic (population-expectation) fixed
-    /// point, clamped by the expected population size.
+    /// point: the symmetric map steepens with the expected population size
+    /// as in the connected case, so the `3/(μ + 2)` clamp shrinks like `1/μ`.
     #[must_use]
     pub fn effective_damping_dynamic(&self, mean_n: f64) -> f64 {
         self.damping.min(3.0 / (mean_n + 2.0))
@@ -190,9 +201,9 @@ pub fn equilibrium_certificate(
     })
 }
 
-/// Outcome of one symmetric fixed-point run (tier 1 of the symmetric solver
-/// chains): the per-miner request plus the iteration/residual bookkeeping
-/// the [`crate::solver::SolveReport`] needs.
+/// Outcome of one [`symmetric_fixed_point`] run: the per-miner request plus
+/// the iteration/residual bookkeeping the [`crate::solver::SolveReport`]
+/// needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SymRun {
     /// The symmetric per-miner request at the fixed point.
@@ -201,6 +212,116 @@ pub(crate) struct SymRun {
     pub iterations: usize,
     /// Final displacement residual.
     pub residual: f64,
+}
+
+/// Effective iteration controls of the [`symmetric_fixed_point`]: the
+/// damping, stopping tolerance and iteration cap the tier resolved for this
+/// solve (after the `SubgameConfig::effective_*` clamps).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedPointBudget {
+    pub omega: f64,
+    pub tol: f64,
+    pub max_iter: usize,
+}
+
+/// The damped symmetric fixed point `x ← (1 − ω)·x + ω·BR(x)` over
+/// homogeneous miners: tier 1 of the symmetric connected and standalone
+/// chains and of both dynamic chains, which differ only in `start` and
+/// `best_response` (the map from everyone else's common request to one
+/// miner's response). Before each iteration the current iterate becomes the
+/// `salvage` and the `core.solver.symmetric_fp` checkpoint is probed; the
+/// residual is the max-norm displacement of one damped step.
+///
+/// # Errors
+///
+/// Propagates best-response failures and checkpoint interruptions, and
+/// returns `NoConvergence` when `fp.max_iter` steps leave the residual above
+/// `fp.tol`.
+pub(crate) fn symmetric_fixed_point(
+    start: Request,
+    fp: FixedPointBudget,
+    salvage: &mut Option<SymRun>,
+    mut best_response: impl FnMut(Request) -> Result<Request, MiningGameError>,
+) -> Result<SymRun, MiningGameError> {
+    let FixedPointBudget { omega, tol, max_iter } = fp;
+    let mut x = start;
+    let mut residual = f64::INFINITY;
+    for k in 0..max_iter {
+        *salvage = Some(SymRun { x, iterations: k, residual });
+        mbm_numerics::supervision::checkpoint(
+            mbm_faults::sites::SYMMETRIC_FP,
+            k,
+            max_iter,
+            residual,
+        )?;
+        let br = best_response(x)?;
+        let next = Request {
+            edge: (1.0 - omega) * x.edge + omega * br.edge,
+            cloud: (1.0 - omega) * x.cloud + omega * br.cloud,
+        };
+        residual = (next.edge - x.edge).abs().max((next.cloud - x.cloud).abs());
+        x = next;
+        if residual <= tol {
+            return Ok(SymRun { x, iterations: k + 1, residual });
+        }
+    }
+    *salvage = Some(SymRun { x, iterations: max_iter, residual });
+    Err(MiningGameError::Game(mbm_game::GameError::NoConvergence {
+        iterations: max_iter,
+        residual,
+    }))
+}
+
+/// Start of the symmetric chain of `mode` for `n` miners sharing `budget`:
+/// the [`initial_request`] point, with the standalone edge request cut to
+/// the capacity share `E_max / n`.
+pub(crate) fn symmetric_start(
+    mode: EdgeOperation,
+    params: &MarketParams,
+    prices: &Prices,
+    budget: f64,
+    n: usize,
+) -> Result<Request, MiningGameError> {
+    let mut x = initial_request(budget, prices)?;
+    if mode == EdgeOperation::Standalone {
+        x.edge = x.edge.min(params.e_max() / n as f64);
+    }
+    Ok(x)
+}
+
+/// One miner's analytic best response in the miner game of `mode` when the
+/// other `n − 1` miners each play `x`: the map the symmetric chain iterates.
+/// The standalone response is the `h = 1` form capped at the residual
+/// capacity `E_max − (n − 1)·x_e`, so a binding capacity yields the
+/// symmetric variational equilibrium `e_i = E_max / n`.
+///
+/// # Errors
+///
+/// Propagates [`analytic_best_response`] errors.
+pub(crate) fn symmetric_best_response(
+    mode: EdgeOperation,
+    params: &MarketParams,
+    prices: &Prices,
+    budget: f64,
+    n: usize,
+    x: Request,
+) -> Result<Request, MiningGameError> {
+    let m = (n - 1) as f64;
+    let e_others = m * x.edge;
+    let (h, edge_cap) = match mode {
+        EdgeOperation::Connected => (params.edge_availability(), None),
+        EdgeOperation::Standalone => (1.0, Some((params.e_max() - e_others).max(0.0))),
+    };
+    analytic_best_response(&BestResponseInputs {
+        reward: params.reward(),
+        beta: params.fork_rate(),
+        h,
+        prices: *prices,
+        budget,
+        e_others,
+        s_others: m * x.total(),
+        edge_cap,
+    })
 }
 
 /// A solved miner subgame.

@@ -20,8 +20,8 @@ use mbm_numerics::projection::{BudgetSet, ConvexSet, Halfspace};
 use crate::error::MiningGameError;
 use crate::params::{validate_budgets, MarketParams, Prices};
 use crate::request::Request;
+use crate::subgame::budget_product;
 use crate::subgame::connected::{analytic_best_response, BestResponseInputs};
-use crate::subgame::{budget_product, MinerEquilibrium, SubgameConfig, SymRun};
 use crate::winning::{utility_gradient, utility_standalone};
 
 /// The standalone-mode miner subgame as an [`mbm_game::game::Game`].
@@ -181,104 +181,11 @@ impl Game for StandaloneMinerGame {
     }
 }
 
-/// Solves the standalone miner subgame for its variational equilibrium
-/// (the follower half of the paper's Algorithm 2).
-///
-/// # Errors
-///
-/// Propagates parameter and solver errors.
-pub fn solve_standalone_miner_subgame(
-    params: &MarketParams,
-    prices: &Prices,
-    budgets: &[f64],
-    cfg: &SubgameConfig,
-) -> Result<MinerEquilibrium, MiningGameError> {
-    crate::solver::solve_standalone_reported(params, prices, budgets, cfg).map(|(eq, _)| eq)
-}
-
-/// Fast path for homogeneous miners in standalone mode: symmetric fixed
-/// point of the capacity-capped best response. When the capacity binds the
-/// symmetric variational equilibrium has `e_i = E_max / n`, which this
-/// iteration reproduces.
-///
-/// # Errors
-///
-/// Propagates parameter and convergence errors.
-pub fn solve_symmetric_standalone(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    cfg: &SubgameConfig,
-) -> Result<Request, MiningGameError> {
-    crate::solver::solve_symmetric_standalone_reported(params, prices, budget, n, cfg)
-        .map(|(r, _)| r)
-}
-
-/// The symmetric standalone fixed point itself: tier 1 of the symmetric
-/// standalone chain. `omega` is the *effective* damping
-/// ([`SubgameConfig::effective_damping_symmetric_standalone`]); see
-/// `symmetric_connected_core` for the 1/n damping rationale — the
-/// standalone map is steeper still (in the capacity-binding branch
-/// `e_i = E_max − (n−1)ē` has slope `−(n−1)`), so the damping must stay
-/// below `2/n` and `1.2/(n+1)` keeps a safety margin at every `n`.
-#[allow(clippy::too_many_arguments)] // iteration budget plus the supervision salvage slot
-pub(crate) fn symmetric_standalone_core(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    n: usize,
-    omega: f64,
-    tol: f64,
-    max_iter: usize,
-    salvage: &mut Option<SymRun>,
-) -> Result<SymRun, MiningGameError> {
-    let m = (n - 1) as f64;
-    let mut x = Request {
-        edge: (budget / (4.0 * prices.edge)).min(params.e_max() / n as f64),
-        cloud: budget / (4.0 * prices.cloud),
-    };
-    let mut residual = f64::INFINITY;
-    for k in 0..max_iter {
-        *salvage = Some(SymRun { x, iterations: k, residual });
-        mbm_numerics::supervision::checkpoint(
-            mbm_faults::sites::SYMMETRIC_FP,
-            k,
-            max_iter,
-            residual,
-        )?;
-        let e_others = m * x.edge;
-        let inp = BestResponseInputs {
-            reward: params.reward(),
-            beta: params.fork_rate(),
-            h: 1.0,
-            prices: *prices,
-            budget,
-            e_others,
-            s_others: m * x.total(),
-            edge_cap: Some((params.e_max() - e_others).max(0.0)),
-        };
-        let br = analytic_best_response(&inp)?;
-        let next = Request {
-            edge: (1.0 - omega) * x.edge + omega * br.edge,
-            cloud: (1.0 - omega) * x.cloud + omega * br.cloud,
-        };
-        residual = (next.edge - x.edge).abs().max((next.cloud - x.cloud).abs());
-        x = next;
-        if residual <= tol {
-            return Ok(SymRun { x, iterations: k + 1, residual });
-        }
-    }
-    *salvage = Some(SymRun { x, iterations: max_iter, residual });
-    Err(MiningGameError::Game(mbm_game::GameError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::TieredSolver;
+    use crate::subgame::SubgameConfig;
 
     fn params(e_max: f64) -> MarketParams {
         MarketParams::builder()
@@ -299,8 +206,10 @@ mod tests {
         let p = params(2.0); // tight capacity
         let pr = prices();
         let budgets = vec![200.0; 4];
-        let eq =
-            solve_standalone_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
+        let eq = TieredSolver::standalone(&p, &pr, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         assert!(
             eq.aggregates.edge <= p.e_max() + 1e-6,
             "E = {} > E_max = {}",
@@ -318,8 +227,10 @@ mod tests {
         let p = params(2.0);
         let pr = prices();
         let budgets = vec![200.0; 4];
-        let eq =
-            solve_standalone_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
+        let eq = TieredSolver::standalone(&p, &pr, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         // Unconstrained edge demand far exceeds 2.0, so capacity binds; the
         // variational equilibrium splits it evenly.
         assert!((eq.aggregates.edge - 2.0).abs() < 1e-3, "E = {}", eq.aggregates.edge);
@@ -330,7 +241,6 @@ mod tests {
 
     #[test]
     fn loose_capacity_reduces_to_h_one_connected_nep() {
-        use crate::subgame::connected::solve_symmetric_connected;
         // With a huge E_max the shared constraint is inactive, and the
         // standalone game equals the connected NEP at h = 1.
         let p = params(1e6);
@@ -345,10 +255,15 @@ mod tests {
         let n = 4;
         let budget = 300.0;
         let standalone =
-            solve_standalone_miner_subgame(&p, &pr, &vec![budget; n], &SubgameConfig::default())
-                .unwrap();
+            TieredSolver::standalone(&p, &pr, &vec![budget; n], &SubgameConfig::default())
+                .solve_equilibrium()
+                .unwrap()
+                .0;
         let connected =
-            solve_symmetric_connected(&p_h1, &pr, budget, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_connected(&p_h1, &pr, budget, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
         for r in &standalone.requests {
             assert!((r.edge - connected.edge).abs() < 1e-3, "{r:?} vs {connected:?}");
             assert!((r.cloud - connected.cloud).abs() < 1e-3, "{r:?} vs {connected:?}");
@@ -360,8 +275,10 @@ mod tests {
         let p = params(3.0);
         let pr = prices();
         let budgets = vec![150.0; 3];
-        let eq =
-            solve_standalone_miner_subgame(&p, &pr, &budgets, &SubgameConfig::default()).unwrap();
+        let eq = TieredSolver::standalone(&p, &pr, &budgets, &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         let certificate = |requests: &[Request]| {
             let blocks: Vec<Vec<f64>> = requests.iter().map(|r| vec![r.edge, r.cloud]).collect();
             let profile = Profile::from_blocks(&blocks).unwrap();
@@ -388,11 +305,14 @@ mod tests {
         let pr = prices();
         let n = 4;
         let budget = 200.0;
-        let sym =
-            solve_symmetric_standalone(&p, &pr, budget, n, &SubgameConfig::default()).unwrap();
-        let full =
-            solve_standalone_miner_subgame(&p, &pr, &vec![budget; n], &SubgameConfig::default())
-                .unwrap();
+        let sym = TieredSolver::symmetric_standalone(&p, &pr, budget, n, &SubgameConfig::default())
+            .solve_per_miner()
+            .unwrap()
+            .0;
+        let full = TieredSolver::standalone(&p, &pr, &vec![budget; n], &SubgameConfig::default())
+            .solve_equilibrium()
+            .unwrap()
+            .0;
         for r in &full.requests {
             assert!((r.edge - sym.edge).abs() < 2e-3, "{r:?} vs {sym:?}");
             assert!((r.cloud - sym.cloud).abs() < 2e-3, "{r:?} vs {sym:?}");
@@ -412,7 +332,6 @@ mod tests {
 
     #[test]
     fn standalone_buys_more_edge_than_connected() {
-        use crate::subgame::connected::solve_symmetric_connected;
         // Paper Section IV-C/Table II: the standalone mode encourages more
         // edge purchases (connected mode discounts the edge by h < 1).
         let p = params(50.0);
@@ -420,16 +339,22 @@ mod tests {
         let n = 5;
         let budget = 200.0;
         let stand =
-            solve_symmetric_standalone(&p, &pr, budget, n, &SubgameConfig::default()).unwrap();
-        let conn =
-            solve_symmetric_connected(&p, &pr, budget, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_standalone(&p, &pr, budget, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
+        let conn = TieredSolver::symmetric_connected(&p, &pr, budget, n, &SubgameConfig::default())
+            .solve_per_miner()
+            .unwrap()
+            .0;
         assert!(stand.edge > conn.edge, "standalone {stand:?} vs connected {conn:?}");
     }
 
     #[test]
     fn single_miner_is_rejected() {
         let p = params(10.0);
-        assert!(solve_standalone_miner_subgame(&p, &prices(), &[100.0], &SubgameConfig::default())
+        assert!(TieredSolver::standalone(&p, &prices(), &[100.0], &SubgameConfig::default())
+            .solve_equilibrium()
             .is_err());
     }
 }

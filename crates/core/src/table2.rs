@@ -95,7 +95,7 @@ fn entry(per_miner: Request, nf: f64) -> ModeEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subgame::standalone::solve_symmetric_standalone;
+    use crate::solver::TieredSolver;
     use crate::subgame::SubgameConfig;
 
     fn params(e_max: f64) -> MarketParams {
@@ -143,7 +143,10 @@ mod tests {
         assert!((t.standalone.edge_total - 2.0).abs() < 1e-12);
         // Numeric standalone equilibrium with a huge budget agrees.
         let numeric =
-            solve_symmetric_standalone(&p, &prices, 1e7, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_standalone(&p, &prices, 1e7, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!(
             (numeric.edge - t.standalone.per_miner.edge).abs() < 1e-4,
             "{numeric:?} vs {:?}",
@@ -164,7 +167,10 @@ mod tests {
         let t = closed_forms(&p, &prices, n).unwrap();
         assert!(!t.capacity_binds);
         let numeric =
-            solve_symmetric_standalone(&p, &prices, 1e7, n, &SubgameConfig::default()).unwrap();
+            TieredSolver::symmetric_standalone(&p, &prices, 1e7, n, &SubgameConfig::default())
+                .solve_per_miner()
+                .unwrap()
+                .0;
         assert!((numeric.edge - t.standalone.per_miner.edge).abs() < 1e-5);
         assert!((numeric.cloud - t.standalone.per_miner.cloud).abs() < 1e-5);
     }

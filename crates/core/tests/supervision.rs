@@ -11,8 +11,7 @@ use std::time::Duration;
 
 use mbm_core::params::{MarketParams, Prices};
 use mbm_core::solver::{
-    solve_symmetric_connected_reported, DegradeMode, SolveMethod, SolvePolicy, SolveStatus,
-    SolveWorkspace,
+    DegradeMode, SolveMethod, SolvePolicy, SolveStatus, SolveWorkspace, TieredSolver,
 };
 use mbm_core::subgame::SubgameConfig;
 
@@ -47,13 +46,14 @@ fn injected_misconvergence_escalates_like_a_real_failure() {
         "seed=7;core.solver.symmetric_fp:misconverge@1",
         SolvePolicy::strict(),
         || {
-            let (r, report) = solve_symmetric_connected_reported(
+            let (r, report) = TieredSolver::symmetric_connected(
                 &market(),
                 &prices,
                 200.0,
                 5,
                 &SubgameConfig::default(),
             )
+            .solve_per_miner()
             .expect("escalation tier absorbs the injected fault");
             // The full-N tier that answered left its profile in this
             // thread's workspace.
@@ -80,7 +80,8 @@ fn exhausted_chain_errors_under_strict_policy() {
     let spec = "seed=7;core.solver.symmetric_fp:misconverge@1;\
                 game.br_dynamics:misconverge@1;numerics.vi.extragradient:misconverge@1";
     let err = with_plan_and_policy(spec, SolvePolicy::strict(), || {
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+            .solve_per_miner()
             .expect_err("all tiers fail under an all-kernel fault plan")
     });
     assert!(err.is_convergence_failure(), "unexpected terminal error: {err}");
@@ -96,7 +97,8 @@ fn exhausted_chain_degrades_with_certificate_under_best_effort() {
     let policy = SolvePolicy::resilient(None);
     assert_eq!(policy.degrade, DegradeMode::BestEffort);
     let (r, report) = with_plan_and_policy(spec, policy, || {
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+            .solve_per_miner()
             .expect("best-effort policy salvages a degraded answer")
     });
     assert!(r.edge.is_finite() && r.cloud.is_finite());
@@ -122,7 +124,8 @@ fn zero_deadline_interrupts_before_any_tier() {
     let policy = SolvePolicy { deadline: Some(Duration::ZERO), ..SolvePolicy::default() };
     let previous = SolveWorkspace::set_thread_policy(policy);
     let err =
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+            .solve_per_miner()
             .expect_err("a zero deadline expires at the first checkpoint");
     SolveWorkspace::set_thread_policy(previous);
     assert!(err.is_interruption(), "expected a deadline interruption, got: {err}");
@@ -137,11 +140,14 @@ fn resilient_policy_is_bitwise_identical_on_converging_solves() {
     let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SubgameConfig::default();
     let (strict_r, strict_report) =
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &cfg).unwrap();
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &cfg)
+            .solve_per_miner()
+            .unwrap();
 
     let previous =
         SolveWorkspace::set_thread_policy(SolvePolicy::resilient(Some(Duration::from_secs(60))));
-    let out = solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &cfg);
+    let out =
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &cfg).solve_per_miner();
     SolveWorkspace::set_thread_policy(previous);
     let (resilient_r, resilient_report) = out.unwrap();
 

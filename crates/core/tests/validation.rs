@@ -8,10 +8,7 @@
 
 use mbm_core::error::MiningGameError;
 use mbm_core::params::{MarketParams, Prices};
-use mbm_core::solver::{
-    solve_connected_reported, solve_homogeneous_reported, solve_standalone_reported,
-    solve_symmetric_connected_reported, solve_symmetric_standalone_reported,
-};
+use mbm_core::solver::TieredSolver;
 use mbm_core::subgame::SubgameConfig;
 use proptest::prelude::*;
 
@@ -64,19 +61,19 @@ proptest! {
         let budgets = [budget, budget * 0.5, budget * 2.0];
 
         rejected_at_boundary(
-            &solve_connected_reported(&params, &prices, &budgets, &cfg).unwrap_err(),
+            &TieredSolver::connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_standalone_reported(&params, &prices, &budgets, &cfg).unwrap_err(),
+            &TieredSolver::standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_symmetric_connected_reported(&params, &prices, budget, 4, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_connected(&params, &prices, budget, 4, &cfg).solve_per_miner().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_symmetric_standalone_reported(&params, &prices, budget, 4, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_standalone(&params, &prices, budget, 4, &cfg).solve_per_miner().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_homogeneous_reported(&params, &prices, budget, 4).unwrap_err(),
+            &TieredSolver::homogeneous(&params, &prices, budget, 4).solve_per_miner().unwrap_err(),
         );
     }
 
@@ -95,19 +92,19 @@ proptest! {
         budgets[slot] = bad;
 
         rejected_at_boundary(
-            &solve_connected_reported(&params, &prices, &budgets, &cfg).unwrap_err(),
+            &TieredSolver::connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_standalone_reported(&params, &prices, &budgets, &cfg).unwrap_err(),
+            &TieredSolver::standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_symmetric_connected_reported(&params, &prices, bad, 4, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_connected(&params, &prices, bad, 4, &cfg).solve_per_miner().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_symmetric_standalone_reported(&params, &prices, bad, 4, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_standalone(&params, &prices, bad, 4, &cfg).solve_per_miner().unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_homogeneous_reported(&params, &prices, bad, 4).unwrap_err(),
+            &TieredSolver::homogeneous(&params, &prices, bad, 4).solve_per_miner().unwrap_err(),
         );
     }
 
@@ -123,7 +120,7 @@ proptest! {
         let params = market();
         let prices = Prices::new(edge, cloud).unwrap();
         let cfg = SubgameConfig::default();
-        if let Err(e) = solve_symmetric_connected_reported(&params, &prices, budget, n, &cfg) {
+        if let Err(e) = TieredSolver::symmetric_connected(&params, &prices, budget, n, &cfg).solve_per_miner() {
             prop_assert!(!matches!(e, MiningGameError::InvalidParameter(_)),
                 "valid input rejected at the boundary: {e}");
         }
@@ -138,16 +135,28 @@ fn degenerate_shapes_are_rejected() {
     let prices = Prices::new(4.0, 2.0).unwrap();
     let cfg = SubgameConfig::default();
 
-    rejected_at_boundary(&solve_connected_reported(&params, &prices, &[], &cfg).unwrap_err());
-    rejected_at_boundary(&solve_standalone_reported(&params, &prices, &[], &cfg).unwrap_err());
-    rejected_at_boundary(&solve_connected_reported(&params, &prices, &[100.0], &cfg).unwrap_err());
+    rejected_at_boundary(
+        &TieredSolver::connected(&params, &prices, &[], &cfg).solve_equilibrium().unwrap_err(),
+    );
+    rejected_at_boundary(
+        &TieredSolver::standalone(&params, &prices, &[], &cfg).solve_equilibrium().unwrap_err(),
+    );
+    rejected_at_boundary(
+        &TieredSolver::connected(&params, &prices, &[100.0], &cfg).solve_equilibrium().unwrap_err(),
+    );
     for n in [0, 1] {
         rejected_at_boundary(
-            &solve_symmetric_connected_reported(&params, &prices, 100.0, n, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_connected(&params, &prices, 100.0, n, &cfg)
+                .solve_per_miner()
+                .unwrap_err(),
         );
         rejected_at_boundary(
-            &solve_symmetric_standalone_reported(&params, &prices, 100.0, n, &cfg).unwrap_err(),
+            &TieredSolver::symmetric_standalone(&params, &prices, 100.0, n, &cfg)
+                .solve_per_miner()
+                .unwrap_err(),
         );
-        rejected_at_boundary(&solve_homogeneous_reported(&params, &prices, 100.0, n).unwrap_err());
+        rejected_at_boundary(
+            &TieredSolver::homogeneous(&params, &prices, 100.0, n).solve_per_miner().unwrap_err(),
+        );
     }
 }

@@ -304,9 +304,8 @@ fn bench_pow(pool: &Pool) -> BenchRecord {
 /// aggregate path's throughput in miners per second and carries a ≥ 5×
 /// floor on `legacy-sweep / full-aggregate-solve`.
 fn bench_aggregate_sweep() -> BenchRecord {
-    use mbm_core::solver::solve_aggregate_connected_reported;
+    use mbm_core::solver::TieredSolver;
     use mbm_core::subgame::connected::ConnectedMinerGame;
-    use mbm_core::subgame::homogeneous::homogeneous_equilibrium;
     use mbm_game::nash::{best_response_dynamics_in, BrParams, BrWorkspace, UpdateOrder};
     use mbm_game::profile::Profile;
 
@@ -355,10 +354,14 @@ fn bench_aggregate_sweep() -> BenchRecord {
     // baseline's favor: the whole O(N) solve races ONE legacy sweep.
     let (agg, agg_ms) = best_of(2, || {
         time_ms(|| {
-            solve_aggregate_connected_reported(&params, &prices, &budgets, &cfg).expect("aggregate")
+            TieredSolver::aggregate_connected(&params, &prices, &budgets, &cfg)
+                .solve_equilibrium()
+                .expect("aggregate")
         })
     });
-    let (closed, _) = homogeneous_equilibrium(&params, &prices, budget, n).expect("closed form");
+    let (closed, _) = TieredSolver::homogeneous(&params, &prices, budget, n)
+        .solve_per_miner()
+        .expect("closed form");
     for r in &agg.0.requests {
         let ok = |got: f64, want: f64| (got - want).abs() <= 1e-6 * want.abs().max(1e-12);
         assert!(

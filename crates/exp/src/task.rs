@@ -24,10 +24,7 @@ use mbm_core::params::{MarketParams, Prices, Provider};
 use mbm_core::request::Aggregates;
 use mbm_core::request::Request;
 use mbm_core::scenario::{EdgeOperation, Scenario, ScenarioOutcome};
-use mbm_core::solver::{
-    solve_aggregate_connected_reported, solve_aggregate_standalone_reported,
-    solve_symmetric_continuous_reported, SolveReport,
-};
+use mbm_core::solver::{SolveReport, TieredSolver};
 use mbm_core::sp::mixed::{mixed_price_equilibrium, MixedPriceEquilibrium, MixedPricingConfig};
 use mbm_core::sp::pricing::{standalone_csp_price, standalone_market_clearing_edge_price};
 use mbm_core::sp::stage::ProviderStage;
@@ -947,7 +944,9 @@ impl Task {
                 }
             }
             Task::SymContinuous { params, prices, budget, mu, sd, cfg } => {
-                match solve_symmetric_continuous_reported(params, prices, *budget, *mu, *sd, cfg) {
+                match TieredSolver::continuous(params, prices, *budget, *mu, *sd, cfg)
+                    .solve_per_miner()
+                {
                     Ok((r, rep)) => (TaskOutput::Sym(Ok(r)), Some(rep)),
                     Err(e) => (TaskOutput::Sym(Err(e.to_string())), None),
                 }
@@ -956,12 +955,13 @@ impl Task {
                 let budgets = vec![*budget; *n];
                 let solved = match op {
                     EdgeOperation::Connected => {
-                        solve_aggregate_connected_reported(params, prices, &budgets, cfg)
+                        TieredSolver::aggregate_connected(params, prices, &budgets, cfg)
                     }
                     EdgeOperation::Standalone => {
-                        solve_aggregate_standalone_reported(params, prices, &budgets, cfg)
+                        TieredSolver::aggregate_standalone(params, prices, &budgets, cfg)
                     }
-                };
+                }
+                .solve_equilibrium();
                 match solved {
                     Ok((eq, rep)) => {
                         let inv = 1.0 / *n as f64;
@@ -1310,14 +1310,14 @@ mod tests {
 
     #[test]
     fn scenario_routed_symmetric_solve_matches_direct_solver_bitwise() {
-        use mbm_core::subgame::connected::solve_symmetric_connected;
-        let direct = solve_symmetric_connected(
+        let (direct, _) = TieredSolver::symmetric_connected(
             &baseline_market(),
             &Prices::new(4.0, 2.0).unwrap(),
             BUDGET,
             N_MINERS,
             &SubgameConfig::default(),
         )
+        .solve_per_miner()
         .unwrap();
         match sym_task().run() {
             TaskOutput::Sym(Ok(r)) => {

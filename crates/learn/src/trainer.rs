@@ -116,14 +116,11 @@ pub fn learn_miner_strategies_in(
     cfg: &TrainConfig,
     scratch: &mut TrainerScratch,
 ) -> Result<LearnedMiners, LearnError> {
-    use mbm_core::subgame::dynamic::{solve_symmetric_dynamic, DynamicConfig};
-    let model = solve_symmetric_dynamic(
-        params,
-        prices,
-        budget,
-        population,
-        &DynamicConfig { mixing: cfg.mixing, ..Default::default() },
-    )?;
+    use mbm_core::solver::TieredSolver;
+    use mbm_core::subgame::dynamic::DynamicConfig;
+    let model_cfg = DynamicConfig { mixing: cfg.mixing, ..Default::default() };
+    let (model, _) =
+        TieredSolver::dynamic(params, prices, budget, population, &model_cfg).solve_per_miner()?;
     let grid = ActionGrid::around(model, cfg.grid_spread, cfg.grid_points, prices, budget)?;
     learn_on_grid_in(params, prices, &grid, population, pool, cfg, scratch)
 }
@@ -499,7 +496,8 @@ fn full_loop_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbm_core::subgame::dynamic::{solve_symmetric_dynamic, DynamicConfig};
+    use mbm_core::solver::TieredSolver;
+    use mbm_core::subgame::dynamic::DynamicConfig;
 
     fn params() -> MarketParams {
         MarketParams::builder().reward(100.0).fork_rate(0.2).edge_availability(0.8).build().unwrap()
@@ -517,8 +515,10 @@ mod tests {
         let budget = 300.0;
         let cfg = TrainConfig { periods: 120, ..Default::default() };
         let learned = learn_miner_strategies(&p, &pr, budget, &pop, 5, &cfg).unwrap();
-        let model =
-            solve_symmetric_dynamic(&p, &pr, budget, &pop, &DynamicConfig::default()).unwrap();
+        let model = TieredSolver::dynamic(&p, &pr, budget, &pop, &DynamicConfig::default())
+            .solve_per_miner()
+            .unwrap()
+            .0;
         // The grid is coarse; agree within ~1.5 grid cells.
         let cell_e = model.edge * cfg.grid_spread / (cfg.grid_points - 1) as f64;
         let cell_c = model.cloud * cfg.grid_spread / (cfg.grid_points - 1) as f64;

@@ -6,11 +6,7 @@
 use proptest::prelude::*;
 
 use mbm_core::params::{MarketParams, Prices};
-use mbm_core::solver::{
-    solve_aggregate_connected_reported, solve_aggregate_standalone_reported,
-    solve_connected_reported, solve_homogeneous_reported, solve_standalone_reported, SolveMethod,
-    SolveStatus,
-};
+use mbm_core::solver::{FollowerSolver, SolveMethod, SolveStatus, SolveWorkspace, TieredSolver};
 use mbm_core::subgame::homogeneous::Regime;
 use mbm_core::subgame::SubgameConfig;
 
@@ -38,9 +34,9 @@ proptest! {
         let params = market(100.0, 5.0);
         let prices = Prices::new(4.0, 2.0).unwrap();
         let cfg = SubgameConfig::default();
-        let (legacy, _) = solve_connected_reported(&params, &prices, &budgets, &cfg).unwrap();
+        let (legacy, _) = TieredSolver::connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
         let (agg, report) =
-            solve_aggregate_connected_reported(&params, &prices, &budgets, &cfg).unwrap();
+            TieredSolver::aggregate_connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
         prop_assert_eq!(report.method, SolveMethod::AggregateBestResponse);
         prop_assert!(report.fallback_hops.is_empty(), "hops: {:?}", report.fallback_hops);
         for (a, l) in agg.requests.iter().zip(&legacy.requests) {
@@ -61,9 +57,9 @@ proptest! {
         let params = market(100.0, 1e6);
         let prices = Prices::new(4.0, 2.0).unwrap();
         let cfg = SubgameConfig::default();
-        let (legacy, _) = solve_standalone_reported(&params, &prices, &budgets, &cfg).unwrap();
+        let (legacy, _) = TieredSolver::standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
         let (agg, report) =
-            solve_aggregate_standalone_reported(&params, &prices, &budgets, &cfg).unwrap();
+            TieredSolver::aggregate_standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
         prop_assert_eq!(report.method, SolveMethod::AggregateBestResponse);
         for (a, l) in agg.requests.iter().zip(&legacy.requests) {
             prop_assert!((a.edge - l.edge).abs() < 1e-3, "{:?} vs {:?}", a, l);
@@ -77,13 +73,16 @@ proptest! {
 fn check_against_closed_form(n: usize, reward: f64, budget: f64, expect: Regime, rel_tol: f64) {
     let params = market(reward, 5.0);
     let prices = Prices::new(4.0, 2.0).unwrap();
-    let (closed, regime, _) = solve_homogeneous_reported(&params, &prices, budget, n).unwrap();
+    let solver = TieredSolver::homogeneous(&params, &prices, budget, n);
+    let solved = SolveWorkspace::with_thread_local(|ws| solver.solve(ws)).unwrap();
+    let (closed, regime) = (solved.per_miner.unwrap(), solved.regime.unwrap());
     assert_eq!(regime, expect, "test parameters picked the wrong regime");
 
     let budgets = vec![budget; n];
     let cfg = SubgameConfig { tol: 1e-9, ..SubgameConfig::default() };
-    let (agg, report) =
-        solve_aggregate_connected_reported(&params, &prices, &budgets, &cfg).unwrap();
+    let (agg, report) = TieredSolver::aggregate_connected(&params, &prices, &budgets, &cfg)
+        .solve_equilibrium()
+        .unwrap();
     assert_eq!(
         report.method,
         SolveMethod::AggregateBestResponse,

@@ -4,10 +4,9 @@ use proptest::prelude::*;
 
 use mbm_core::params::{MarketParams, Prices};
 use mbm_core::request::Request;
-use mbm_core::subgame::connected::{
-    analytic_best_response, solve_symmetric_connected, BestResponseInputs,
-};
-use mbm_core::subgame::homogeneous::{homogeneous_equilibrium, mixed_strategy_condition};
+use mbm_core::solver::TieredSolver;
+use mbm_core::subgame::connected::{analytic_best_response, BestResponseInputs};
+use mbm_core::subgame::homogeneous::mixed_strategy_condition;
 use mbm_core::subgame::SubgameConfig;
 use mbm_core::winning::{
     total_winning_probability, utility_connected, w_connected_expected, w_connected_transfer,
@@ -130,11 +129,12 @@ proptest! {
             .unwrap();
         let prices = Prices::new(p_e, p_c).unwrap();
         prop_assume!(mixed_strategy_condition(&params, &prices));
-        let numeric = solve_symmetric_connected(&params, &prices, budget, n, &SubgameConfig::default());
+        let numeric = TieredSolver::symmetric_connected(&params, &prices, budget, n, &SubgameConfig::default()).solve_per_miner().map(|(r, _)| r);
         prop_assume!(numeric.is_ok());
         let numeric = numeric.unwrap();
         prop_assert!(numeric.cost(&prices) <= budget + 1e-6);
-        let (closed, _regime) = homogeneous_equilibrium(&params, &prices, budget, n).unwrap();
+        let (closed, _report) =
+            TieredSolver::homogeneous(&params, &prices, budget, n).solve_per_miner().unwrap();
         prop_assert!(
             (numeric.edge - closed.edge).abs() < 1e-4 * (1.0 + closed.edge),
             "edge: numeric {} vs closed {}",
@@ -161,7 +161,6 @@ proptest! {
     ) {
         use mbm_core::params::EdgeOperation;
         use mbm_core::subgame::equilibrium_certificate;
-        use mbm_core::subgame::standalone::solve_standalone_miner_subgame;
         use mbm_game::gnep::GnepWorkspace;
         use mbm_game::profile::Profile;
         let p_c = p_e * 0.4;
@@ -173,12 +172,12 @@ proptest! {
             .build()
             .unwrap();
         let prices = Prices::new(p_e, p_c).unwrap();
-        let eq = solve_standalone_miner_subgame(
+        let eq = TieredSolver::standalone(
             &params,
             &prices,
             &budgets,
             &mbm_core::subgame::SubgameConfig::default(),
-        );
+        ).solve_equilibrium().map(|(eq, _)| eq);
         prop_assume!(eq.is_ok());
         let eq = eq.unwrap();
         prop_assert!(eq.aggregates.edge <= e_max + 1e-5, "capacity violated");
@@ -216,8 +215,8 @@ proptest! {
         let hi_prices = Prices::new(p_e, p_c_lo + bump).unwrap();
         prop_assume!(mixed_strategy_condition(&params, &hi_prices));
         let cfg = SubgameConfig::default();
-        let lo = solve_symmetric_connected(&params, &lo_prices, budget, n, &cfg);
-        let hi = solve_symmetric_connected(&params, &hi_prices, budget, n, &cfg);
+        let lo = TieredSolver::symmetric_connected(&params, &lo_prices, budget, n, &cfg).solve_per_miner().map(|(r, _)| r);
+        let hi = TieredSolver::symmetric_connected(&params, &hi_prices, budget, n, &cfg).solve_per_miner().map(|(r, _)| r);
         prop_assume!(lo.is_ok() && hi.is_ok());
         prop_assert!(
             hi.unwrap().edge >= lo.unwrap().edge - 1e-7,

@@ -3,7 +3,8 @@
 //! moves providers toward profitable prices.
 
 use mbm_core::params::{MarketParams, Prices};
-use mbm_core::subgame::dynamic::{solve_symmetric_dynamic, DynamicConfig, Population};
+use mbm_core::solver::TieredSolver;
+use mbm_core::subgame::dynamic::{DynamicConfig, Population};
 use mbm_learn::trainer::{adapt_prices, learn_miner_strategies, TrainConfig};
 
 fn params() -> MarketParams {
@@ -18,8 +19,10 @@ fn learners_find_the_dynamic_equilibrium() {
     let pop = Population::gaussian(5.0, 1.5).unwrap();
     let cfg = TrainConfig { periods: 200, ..Default::default() };
     let learned = learn_miner_strategies(&p, &prices, budget, &pop, 10, &cfg).unwrap();
-    let model =
-        solve_symmetric_dynamic(&p, &prices, budget, &pop, &DynamicConfig::default()).unwrap();
+    let model = TieredSolver::dynamic(&p, &prices, budget, &pop, &DynamicConfig::default())
+        .solve_per_miner()
+        .unwrap()
+        .0;
     // Agreement within ~1.5 grid cells of the learner's action grid.
     let cell_e = model.edge * cfg.grid_spread / (cfg.grid_points - 1) as f64;
     let cell_c = model.cloud * cfg.grid_spread / (cfg.grid_points - 1) as f64;

@@ -5,11 +5,7 @@ use proptest::prelude::*;
 
 use mbm_core::market::PriceVector;
 use mbm_core::params::{MarketParams, Prices};
-use mbm_core::solver::{
-    solve_connected_reported, solve_standalone_reported, solve_symmetric_connected_reported,
-    solve_symmetric_standalone_reported, FollowerSolver, SolveMethod, SolveMode, SolveWorkspace,
-    TieredSolver,
-};
+use mbm_core::solver::{FollowerSolver, SolveMethod, SolveMode, SolveWorkspace, TieredSolver};
 use mbm_core::subgame::SubgameConfig;
 
 fn market() -> MarketParams {
@@ -26,7 +22,8 @@ fn market() -> MarketParams {
 fn connected_fast_path_reports_symmetric_method_and_no_hops() {
     let prices = Prices::new(4.0, 2.0).unwrap();
     let (r, report) =
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &SubgameConfig::default())
+            .solve_per_miner()
             .unwrap();
     assert!(r.edge > 0.0 && r.cloud > 0.0);
     assert_eq!(report.mode, SolveMode::Connected);
@@ -48,12 +45,15 @@ fn connected_fast_path_reports_symmetric_method_and_no_hops() {
 fn connected_escalation_reaches_the_same_equilibrium() {
     let prices = Prices::new(4.0, 2.0).unwrap();
     let relaxed = SubgameConfig::default();
-    let (reference, _) =
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &relaxed).unwrap();
+    let (reference, _) = TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &relaxed)
+        .solve_per_miner()
+        .unwrap();
 
     let tight = SubgameConfig { max_iter: 1, ..relaxed };
     let (escalated, report) =
-        solve_symmetric_connected_reported(&market(), &prices, 200.0, 5, &tight).unwrap();
+        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &tight)
+            .solve_per_miner()
+            .unwrap();
 
     assert_eq!(report.method, SolveMethod::BestResponseDynamics);
     assert_eq!(report.hops(), 1);
@@ -79,12 +79,15 @@ fn connected_escalation_reaches_the_same_equilibrium() {
 fn standalone_escalation_reaches_the_same_equilibrium() {
     let prices = Prices::new(4.0, 2.0).unwrap();
     let relaxed = SubgameConfig::default();
-    let (reference, _) =
-        solve_symmetric_standalone_reported(&market(), &prices, 200.0, 5, &relaxed).unwrap();
+    let (reference, _) = TieredSolver::symmetric_standalone(&market(), &prices, 200.0, 5, &relaxed)
+        .solve_per_miner()
+        .unwrap();
 
     let tight = SubgameConfig { max_iter: 1, ..relaxed };
     let (escalated, report) =
-        solve_symmetric_standalone_reported(&market(), &prices, 200.0, 5, &tight).unwrap();
+        TieredSolver::symmetric_standalone(&market(), &prices, 200.0, 5, &tight)
+            .solve_per_miner()
+            .unwrap();
 
     assert_eq!(report.mode, SolveMode::Standalone);
     assert_eq!(report.method, SolveMethod::Extragradient);
@@ -108,7 +111,9 @@ fn standalone_escalation_reaches_the_same_equilibrium() {
 fn standalone_config_floors_are_recorded_not_silent() {
     let prices = Prices::new(4.0, 2.0).unwrap();
     let cfg = SubgameConfig { tol: 1e-12, max_iter: 100, ..SubgameConfig::default() };
-    let (_, report) = solve_standalone_reported(&market(), &prices, &[200.0; 4], &cfg).unwrap();
+    let (_, report) = TieredSolver::standalone(&market(), &prices, &[200.0; 4], &cfg)
+        .solve_equilibrium()
+        .unwrap();
     let tol = report.overrides.tol.expect("tol floor recorded");
     assert_eq!(tol.requested, 1e-12);
     assert_eq!(tol.effective, 1e-10);
@@ -120,7 +125,9 @@ fn standalone_config_floors_are_recorded_not_silent() {
     // config's max_iter of 5000 is itself below the 20k floor, so it is
     // honestly reported as rewritten — hence the explicit values here.)
     let roomy = SubgameConfig { tol: 1e-9, max_iter: 30_000, ..SubgameConfig::default() };
-    let (_, clean) = solve_standalone_reported(&market(), &prices, &[200.0; 4], &roomy).unwrap();
+    let (_, clean) = TieredSolver::standalone(&market(), &prices, &[200.0; 4], &roomy)
+        .solve_equilibrium()
+        .unwrap();
     assert!(clean.overrides.tol.is_none());
     assert!(clean.overrides.max_iter.is_none());
 }
@@ -142,9 +149,9 @@ proptest! {
         let cfg = SubgameConfig::default();
 
         let (sym_c, rep_c) =
-            solve_symmetric_connected_reported(&params, &prices, budget, n, &cfg).unwrap();
+            TieredSolver::symmetric_connected(&params, &prices, budget, n, &cfg).solve_per_miner().unwrap();
         let (full_c, _) =
-            solve_connected_reported(&params, &prices, &vec![budget; n], &cfg).unwrap();
+            TieredSolver::connected(&params, &prices, &vec![budget; n], &cfg).solve_equilibrium().unwrap();
         prop_assert_eq!(rep_c.mode, SolveMode::Connected);
         for r in &full_c.requests {
             prop_assert!(
@@ -154,9 +161,9 @@ proptest! {
         }
 
         let (sym_s, _) =
-            solve_symmetric_standalone_reported(&params, &prices, budget, n, &cfg).unwrap();
+            TieredSolver::symmetric_standalone(&params, &prices, budget, n, &cfg).solve_per_miner().unwrap();
         let (full_s, _) =
-            solve_standalone_reported(&params, &prices, &vec![budget; n], &cfg).unwrap();
+            TieredSolver::standalone(&params, &prices, &vec![budget; n], &cfg).solve_equilibrium().unwrap();
         for r in &full_s.requests {
             prop_assert!(
                 (r.edge - sym_s.edge).abs() < 5e-3 && (r.cloud - sym_s.cloud).abs() < 5e-3,
@@ -199,23 +206,23 @@ proptest! {
 
         for reduced in [k2, k4] {
             // Heterogeneous chains (connected NEP, standalone GNEP).
-            let legacy = solve_connected_reported(&params, &prices, &budgets, &cfg).unwrap();
-            let via = solve_connected_reported(&params, &reduced, &budgets, &cfg).unwrap();
+            let legacy = TieredSolver::connected(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
+            let via = TieredSolver::connected(&params, &reduced, &budgets, &cfg).solve_equilibrium().unwrap();
             prop_assert_eq!(format!("{legacy:?}"), format!("{via:?}"));
-            let legacy = solve_standalone_reported(&params, &prices, &budgets, &cfg).unwrap();
-            let via = solve_standalone_reported(&params, &reduced, &budgets, &cfg).unwrap();
+            let legacy = TieredSolver::standalone(&params, &prices, &budgets, &cfg).solve_equilibrium().unwrap();
+            let via = TieredSolver::standalone(&params, &reduced, &budgets, &cfg).solve_equilibrium().unwrap();
             prop_assert_eq!(format!("{legacy:?}"), format!("{via:?}"));
 
             // Symmetric fast paths.
             let legacy =
-                solve_symmetric_connected_reported(&params, &prices, budget, n, &cfg).unwrap();
+                TieredSolver::symmetric_connected(&params, &prices, budget, n, &cfg).solve_per_miner().unwrap();
             let via =
-                solve_symmetric_connected_reported(&params, &reduced, budget, n, &cfg).unwrap();
+                TieredSolver::symmetric_connected(&params, &reduced, budget, n, &cfg).solve_per_miner().unwrap();
             prop_assert_eq!(format!("{legacy:?}"), format!("{via:?}"));
             let legacy =
-                solve_symmetric_standalone_reported(&params, &prices, budget, n, &cfg).unwrap();
+                TieredSolver::symmetric_standalone(&params, &prices, budget, n, &cfg).solve_per_miner().unwrap();
             let via =
-                solve_symmetric_standalone_reported(&params, &reduced, budget, n, &cfg).unwrap();
+                TieredSolver::symmetric_standalone(&params, &reduced, budget, n, &cfg).solve_per_miner().unwrap();
             prop_assert_eq!(format!("{legacy:?}"), format!("{via:?}"));
 
             // Aggregate-form O(N) chains.
