@@ -12,15 +12,15 @@
 //!   sweep-start aggregates; the leave-one-out scalars a miner needs are
 //!   `E₋ᵢ = E − eᵢ` and `S₋ᵢ = S − (eᵢ + cᵢ)` — two subtractions, not a
 //!   profile scan. Total cost is `O(N)` per sweep.
-//! * The population lives in the [`SoaPopulation`] structure-of-arrays
+//! * The population lives in the `SoaPopulation` structure-of-arrays
 //!   scratch (contiguous `budgets`/`edges`/`clouds` arrays) hoisted into the
-//!   [`SolveWorkspace`](super::SolveWorkspace) and keyed on
+//!   [`SolveWorkspace`] and keyed on
 //!   `(n, budget bits)`, so repeated solves at new prices skip re-staging —
 //!   and the per-miner `BudgetSet`/Dykstra machinery of the legacy games is
 //!   not needed at all (budget feasibility is internal to
 //!   [`analytic_best_response`]).
 //! * The per-miner fan-out is chunked over [`mbm_par::Pool`] in
-//!   **fixed-width** chunks ([`SWEEP_CHUNK`], independent of thread count)
+//!   **fixed-width** chunks (`SWEEP_CHUNK`, independent of thread count)
 //!   and reduced serially in chunk-index order, so the new aggregates, the
 //!   residual, and therefore every subsequent iterate are bitwise identical
 //!   at 1, 2, or 8 worker threads.
@@ -32,7 +32,7 @@
 //! `1.2/(n + 1)` standalone clamp under the shared capacity — yields a
 //! contraction factor ≈ `1/2` at every `n` *near the fixed point*. Far from
 //! it the damped map only moves `ω ≈ 3/n` of the gap per sweep, so a cold
-//! start would pay an `O(n)`-sweep transient. [`seed_population`] removes
+//! start would pay an `O(n)`-sweep transient. `seed_population` removes
 //! that transient: it solves the symmetric surrogate at the mean budget
 //! (closed form for connected, an `O(1)`-per-step scalar iteration for
 //! standalone) and seeds every miner at its best response to the surrogate

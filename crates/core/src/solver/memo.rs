@@ -2,7 +2,7 @@
 //!
 //! Task identity in this workspace is exact-bit, so a converged follower
 //! equilibrium computed in one process is bitwise-valid in the next: this
-//! module gives [`super::TieredSolver::solve`] a disk-backed memo that the
+//! module gives [`super::FollowerSolver::solve`] a disk-backed memo that the
 //! experiment runner (`experiments --store PATH`), the leader grid stage,
 //! and the `mbm-serve` daemon all share for free — the consult lives inside
 //! the one solve path they already route through.

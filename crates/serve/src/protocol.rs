@@ -452,7 +452,8 @@ fn id_value(id: Option<u64>) -> Value {
 }
 
 /// Renders a successful solve response: status, aggregates, the mean
-/// per-miner request, leader payoffs, and the full [`SolveReport`].
+/// per-miner request, leader payoffs, and the full
+/// [`SolveReport`](mbm_core::solver::SolveReport).
 #[must_use]
 pub fn render_solved(id: Option<u64>, job: &SolveJob, solved: &Solved) -> String {
     let status = match solved.report.status {

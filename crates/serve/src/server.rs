@@ -11,7 +11,8 @@
 //!
 //! Shutdown is a three-state flag ([`ShutdownFlag`]): `RUN` → `DRAIN`
 //! (graceful: SIGTERM or the `shutdown` verb; in-flight jobs finish, queued
-//! jobs shed) → `FORCE` (second signal; the pool's [`CancelToken`] fires
+//! jobs shed) → `FORCE` (second signal; the pool's
+//! [`CancelToken`](mbm_faults::CancelToken) fires
 //! and in-flight solves stop at their next supervision probe). The accept
 //! loop polls the flag between non-blocking accepts, so a shutdown is
 //! observed within one poll interval.

@@ -31,10 +31,12 @@ FILES=(
   crates/core/src/subgame/standalone.rs
   crates/core/src/subgame/dynamic.rs
   crates/core/src/subgame/homogeneous.rs
+  crates/core/src/subgame/mod.rs
   crates/core/src/error.rs
   crates/core/src/params.rs
   crates/core/src/market.rs
   crates/core/src/stackelberg.rs
+  crates/core/src/scenario.rs
   crates/core/src/algorithms.rs
   crates/core/src/sp/cache.rs
   crates/core/src/sp/mixed.rs
