@@ -1105,55 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn tampered_profile_is_rejected_by_golden_check_and_resolved() {
-        use crate::solver::{FollowerSolver, TieredSolver};
-        static SERIAL: Mutex<()> = Mutex::new(());
-        let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-
-        let params = MarketParams::builder().build().expect("defaults build");
-        let prices = Prices { edge: 4.0, cloud: 2.0 };
-        let budgets = [100.0, 150.0];
-        let cfg = crate::subgame::SubgameConfig::default();
-        let path = std::env::temp_dir()
-            .join(format!("mbm_memo_golden_reject_{}.mbms", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let (guard, _summary) =
-            open_and_install(&path, MemoConfig::default(), mbm_store::StoreOptions::default())
-                .expect("store opens");
-        reset_stats();
-
-        let solver = TieredSolver::connected(&params, &prices, &budgets, &cfg);
-        let mut ws = SolveWorkspace::new();
-        let cold = solver.solve(&mut ws).expect("cold solve converges");
-        assert_eq!(stats().appends, 1, "cold success is persisted");
-
-        // Forge a well-formed, feasible, checksummed record under the same
-        // key whose profile is NOT the equilibrium; last-wins replaces the
-        // honest record in the index.
-        let key = active_key(&params, &prices, &solver.problem).expect("memo active");
-        let mut tampered = ws.requests.clone();
-        tampered[0].edge *= 0.5;
-        let payload = encode(MemoMode::Connected, &cold, 0.0, &budgets, &tampered, &ws.utilities);
-        {
-            let h = handle().expect("memo installed");
-            let mut store = h.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            store.append(&key, &payload).expect("forged append succeeds");
-        }
-
-        reset_stats();
-        let mut ws2 = SolveWorkspace::new();
-        let again = solver.solve(&mut ws2).expect("re-solve converges");
-        let s = stats();
-        assert_eq!(s.rejected, 1, "golden check rejects the forged profile");
-        assert_eq!(s.hits, 0);
-        assert_eq!(again, cold, "rejection falls through to a bitwise-identical solve");
-        assert_eq!(ws2.requests, ws.requests);
-        assert_eq!(ws2.utilities, ws.utilities);
-        drop(guard);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn feasibility_rejects_budget_violations() {
         let params = MarketParams::builder()
             .reward(100.0)

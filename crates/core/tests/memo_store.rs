@@ -1,8 +1,8 @@
 //! End-to-end tests of the disk-backed equilibrium memo
 //! (`mbm_core::solver::memo` over `mbm_store`): hits replay cold solves
 //! bitwise (workspace effects included), records survive reopen from disk,
-//! injected read corruption is contained, and warm-continuation batches
-//! never append.
+//! injected read corruption and forged profiles are contained, and
+//! warm-continuation batches never append.
 //!
 //! Memo installation is process-global, so these tests serialize on a local
 //! mutex (same pattern as the fault-injection suite).
@@ -14,7 +14,7 @@ use mbm_core::params::{MarketParams, Prices};
 use mbm_core::solver::memo::{self, GoldenCheck, MemoConfig};
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
 use mbm_core::subgame::SubgameConfig;
-use mbm_store::StoreOptions;
+use mbm_store::{Store, StoreOptions};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -132,6 +132,54 @@ fn injected_read_corruption_is_rejected_and_resolved_bitwise() {
     assert_eq!(s.hits, 0, "corrupted payload must not be served");
     assert_eq!(s.rejected, 1);
     assert_eq!(corrupted_read, cold);
+    assert_eq!(ws2.requests, ws.requests);
+    assert_eq!(ws2.utilities, ws.utilities);
+    drop(guard);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tampered_profile_is_rejected_by_golden_check_and_resolved() {
+    let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let params = MarketParams::builder().build().expect("defaults build");
+    let prices = Prices::new(4.0, 2.0).unwrap();
+    let budgets = [100.0, 150.0];
+    let cfg = SubgameConfig::default();
+    let path = scratch("golden_reject");
+    let (guard, _) = memo::open_and_install(&path, MemoConfig::default(), StoreOptions::default())
+        .expect("store opens");
+    memo::reset_stats();
+
+    let solver = TieredSolver::connected(&params, &prices, &budgets, &cfg);
+    let mut ws = SolveWorkspace::new();
+    let cold = solver.solve(&mut ws).expect("cold solve converges");
+    assert_eq!(memo::stats().appends, 1, "cold success is persisted");
+    drop(guard);
+
+    // Forge a well-formed, feasible, checksummed record under the same key
+    // whose profile is NOT the equilibrium: the honest payload with the
+    // first miner's edge request halved (the codec writes f64 bits
+    // little-endian). Last-wins replaces the honest record in the index.
+    let (mut store, _) = Store::open(&path, StoreOptions::default()).expect("store reopens");
+    let (key, mut payload) = {
+        let (key, payload) = store.iter().next().expect("the cold solve's record");
+        (key.to_vec(), payload.to_vec())
+    };
+    let honest = ws.requests[0].edge.to_bits().to_le_bytes();
+    let at: Vec<usize> =
+        payload.windows(8).enumerate().filter(|(_, w)| *w == honest).map(|(i, _)| i).collect();
+    assert_eq!(at.len(), 1, "the first miner's edge request is stored exactly once");
+    payload[at[0]..at[0] + 8].copy_from_slice(&(ws.requests[0].edge * 0.5).to_bits().to_le_bytes());
+    store.append(&key, &payload).expect("forged append succeeds");
+    let guard = memo::install(store, MemoConfig::default());
+
+    memo::reset_stats();
+    let mut ws2 = SolveWorkspace::new();
+    let again = solver.solve(&mut ws2).expect("re-solve converges");
+    let s = memo::stats();
+    assert_eq!(s.rejected, 1, "golden check rejects the forged profile");
+    assert_eq!(s.hits, 0);
+    assert_eq!(again, cold, "rejection falls through to a bitwise-identical solve");
     assert_eq!(ws2.requests, ws.requests);
     assert_eq!(ws2.utilities, ws.utilities);
     drop(guard);
