@@ -69,7 +69,7 @@ pub mod sites {
     pub const ROOTS: &str = "numerics.roots";
     /// Sweeps of best-response dynamics.
     pub const BR_DYNAMICS: &str = "game.br_dynamics";
-    /// Iterations of the symmetric fixed-point cores in the solver.
+    /// Iterations of the solver's one symmetric fixed-point kernel.
     pub const SYMMETRIC_FP: &str = "core.solver.symmetric_fp";
     /// Sweeps of the aggregate-form (SoA) population best-response solver.
     pub const AGGREGATE_SWEEP: &str = "core.solver.aggregate_sweep";
