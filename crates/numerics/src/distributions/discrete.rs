@@ -122,6 +122,10 @@ impl DiscretePmf {
     /// Expectation of an arbitrary function of the outcome,
     /// `Σ p(x) · f(x)` — the workhorse for the dynamic-population expected
     /// utility (paper Eq. 26).
+    // `#[inline]` lets every codegen unit that evaluates that utility inline
+    // this loop into the best-response line searches; left to codegen-unit
+    // placement it can end up behind a call on that hot path.
+    #[inline]
     pub fn expect<F: FnMut(f64) -> f64>(&self, mut f: F) -> f64 {
         self.iter().map(|(x, p)| p * f(x)).sum()
     }
