@@ -295,7 +295,8 @@ pub struct TieredSolver<'a> {
 }
 
 impl<'a> TieredSolver<'a> {
-    /// Heterogeneous connected-mode chain (BR dynamics → extragradient).
+    /// Heterogeneous connected-mode chain (BR dynamics → extragradient): the
+    /// follower half of the paper's Algorithm 1.
     #[must_use]
     pub fn connected(
         params: &'a MarketParams,
@@ -307,7 +308,9 @@ impl<'a> TieredSolver<'a> {
         TieredSolver { params, prices, problem }
     }
 
-    /// Heterogeneous standalone-mode chain (extragradient → BR dynamics).
+    /// Heterogeneous standalone-mode chain (extragradient → BR dynamics) for
+    /// the variational equilibrium: the follower half of the paper's
+    /// Algorithm 2.
     #[must_use]
     pub fn standalone(
         params: &'a MarketParams,

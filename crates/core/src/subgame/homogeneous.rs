@@ -106,7 +106,10 @@ pub fn corollary1_request(
     Request::new(e, s - e)
 }
 
-/// The raw regime selection (tier body of the closed-form chain).
+/// Selects the applicable regime and returns its closed-form symmetric
+/// equilibrium: Corollary 1 if its spending fits the budget, Theorem 3
+/// otherwise. The tier body of `TieredSolver::homogeneous`, which reports the
+/// regime in `Solved::regime`.
 pub(crate) fn homogeneous_core(
     params: &MarketParams,
     prices: &Prices,
