@@ -803,7 +803,7 @@ fn bench_engine_batched(pool: &Pool) -> (BenchRecord, EngineStats) {
         time_ms(|| {
             specs
                 .iter()
-                .map(|tasks| tasks.iter().map(|p| p.task.run()).collect::<Vec<_>>())
+                .map(|tasks| tasks.iter().map(|p| p.task.run_reported().0).collect::<Vec<_>>())
                 .collect::<Vec<_>>()
         })
     });

@@ -1,34 +1,34 @@
 //! The executor: fans a compiled [`Plan`] across the parallel substrate
 //! and exposes the outputs behind typed, spec-friendly accessors.
 //!
-//! Execution uses [`mbm_par::Pool::try_par_eval`] over the unique task list
-//! in first-seen order; the pool's determinism contract (index-ordered
-//! results, bitwise identical at any thread count) plus each task's purity
-//! makes the whole batch thread-count invariant. Per-task telemetry
-//! (`exp.task.*` counters and spans, `exp.exec.*` totals) lands on the
-//! global recorder when enabled.
+//! Execution runs the plan's schedule ([`Plan::groups`]) with
+//! [`mbm_par::Pool::par_eval`]: each group runs serially on one worker,
+//! and results come back in [`Plan::unique`] order. The pool's
+//! determinism contract (index-ordered results, bitwise identical at any
+//! thread count), each task's purity and a schedule that is a pure
+//! function of the plan make the whole batch thread-count invariant.
+//! Per-task telemetry (`exp.task.*` counters and spans, `exp.exec.*`
+//! totals) lands on the global recorder when enabled.
 //!
 //! # Fault tolerance
 //!
 //! Every task runs inside an [`mbm_faults::scope`] keyed by its canonical
 //! identity, so installed fault plans fire on a schedule that is a pure
 //! function of the task — independent of thread count, batch composition
-//! and execution order. A worker panic (injected or real) is isolated to
-//! its task: the task records a kind-appropriate failure output and the
-//! rest of the batch completes (`exp.exec.panics_isolated` counts them).
-//! [`execute_supervised`] additionally applies a [`SolvePolicy`] (deadline,
-//! retries, graceful degradation) to every follower solve in the batch.
+//! and execution order. A worker panic (injected or real) is caught by
+//! [`mbm_par::catch_quiet`] and isolated to its task: the task records a
+//! kind-appropriate failure output and the rest of the batch completes
+//! (`exp.exec.panics_isolated` counts them). [`execute_supervised`]
+//! additionally applies a [`SolvePolicy`] (deadline, retries, graceful
+//! degradation) to every follower solve in the batch.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::collections::HashMap;
 
-use mbm_core::params::Prices;
 use mbm_core::request::Request;
 use mbm_core::scenario::ScenarioOutcome;
-use mbm_core::solver::{
-    nearest_neighbor_order, SolvePolicy, SolveReport, SolveWorkspace, ThreadWarmGuard,
-};
+use mbm_core::solver::{SolvePolicy, SolveReport, SolveWorkspace, ThreadWarmGuard};
 use mbm_core::table2::Table2;
 use mbm_par::Pool;
 
@@ -93,191 +93,55 @@ pub fn execute(plan: &Plan, pool: &Pool) -> TaskResults {
     execute_supervised(plan, pool, SolvePolicy::strict())
 }
 
-/// Runs every unique task of the plan on `pool`, applying `policy` to every
-/// follower solve (deadline, retries, graceful degradation). Worker panics
-/// are isolated per task; task-level injected faults (`exp.task` site) fail
-/// the individual task. With [`SolvePolicy::strict`] this is bitwise
-/// identical to the historical executor.
+/// Runs the plan's schedule on `pool`, applying `policy` to every follower
+/// solve (deadline, retries, graceful degradation). With
+/// [`SolvePolicy::strict`] and the one-task groups of
+/// [`crate::planner::plan`] this is the bitwise-historical executor.
+///
+/// A group of several tasks (a [`Plan::warm`] continuation family) runs
+/// with the thread's warm slot engaged, so each solve seeds from its
+/// predecessor's equilibrium; outputs agree with the cold schedule within
+/// certificate tolerance. Worker panics are isolated per task, and one
+/// inside such a group also clears the warm slot, so the rest of the group
+/// continues from a cold (deterministic) seed. Task-level injected faults
+/// (`exp.task` site) fail the individual task.
 #[must_use]
 pub fn execute_supervised(plan: &Plan, pool: &Pool, policy: SolvePolicy) -> TaskResults {
     let rec = mbm_obs::global();
-    let outputs = pool.try_par_eval(plan.unique.len(), |i| {
-        let task = &plan.unique[i].task;
-        let _scope = mbm_faults::scope(scope_key(&task.canon()));
-        let _policy = PolicyGuard::set(policy);
-        if let Some(interrupt) = mbm_faults::probe(mbm_faults::sites::EXP_TASK) {
-            // An injected `panic` kind unwinds inside the probe (and is
-            // isolated below); every other interrupt fails just this task.
-            return (task.failed_output(&format!("injected task fault: {interrupt}")), None);
-        }
-        if rec.enabled() {
-            rec.incr("exp.exec.tasks_run");
-            let _span = rec.span(task.span_name());
-            task.run_reported()
-        } else {
-            task.run_reported()
-        }
-    });
-    let slots = outputs
-        .into_iter()
-        .zip(&plan.unique)
-        .map(|(slot, entry)| match slot {
-            Ok((output, report)) => (output, report, false),
-            Err(panic) => {
-                if rec.enabled() {
-                    rec.incr("exp.exec.panics_isolated");
-                }
-                let error = format!("worker panic isolated: {}", panic.message);
-                (entry.task.failed_output(&error), None, true)
-            }
-        })
-        .collect();
-    collect_results(plan, slots)
-}
-
-/// [`execute_supervised`] with warm-started continuation batching: unique
-/// tasks that share a [`Task::grid_family`] (same follower solve, different
-/// price point) run as one sequential pool item, ordered along the
-/// nearest-neighbor path through their price points, with the thread's
-/// warm slot engaged so each solve seeds from its predecessor's
-/// equilibrium. Tasks without a family (and single-member families) run
-/// exactly as in [`execute_supervised`], bitwise included. Outputs agree
-/// with the cold executor within certificate tolerance and are
-/// thread-count invariant: group membership and in-group order are pure
-/// functions of the plan, and each group runs serially on one workspace.
-///
-/// Fault semantics are preserved per task: the same deterministic fault
-/// scope, the same `exp.task` probe, and per-task panic isolation (a panic
-/// inside a group fails that task, clears the warm slot, and the rest of
-/// the group continues cold-seeded).
-#[must_use]
-pub fn execute_supervised_warm(plan: &Plan, pool: &Pool, policy: SolvePolicy) -> TaskResults {
-    let rec = mbm_obs::global();
-    // Group unique-task indices by continuation family, groups in
-    // first-seen order so scheduling is a pure function of the plan.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut family_group: HashMap<TaskKey, usize> = HashMap::new();
-    for (i, entry) in plan.unique.iter().enumerate() {
-        match entry.task.grid_family() {
-            Some(family) => match family_group.get(&family) {
-                Some(&g) => groups[g].push(i),
-                None => {
-                    family_group.insert(family, groups.len());
-                    groups.push(vec![i]);
-                }
-            },
-            None => groups.push(vec![i]),
-        }
-    }
-    // Nearest-neighbor continuation order within each multi-task family.
-    for group in &mut groups {
-        if group.len() < 2 {
-            continue;
-        }
-        let points: Vec<Prices> =
-            group.iter().filter_map(|&i| plan.unique[i].task.grid_prices()).collect();
-        if points.len() == group.len() {
-            let path = nearest_neighbor_order(&points);
-            *group = path.into_iter().map(|k| group[k]).collect();
-        }
-    }
-
-    type TaskResult = Result<(TaskOutput, Option<SolveReport>), String>;
-    type TaskSlot = (usize, TaskResult);
-    let group_outputs = pool.try_par_eval(groups.len(), |g| {
-        let group = &groups[g];
-        // Engage the warm slot only for genuine batches; singletons stay on
-        // the bitwise-historical cold path.
-        let _warm = (group.len() > 1).then(ThreadWarmGuard::engage);
-        let mut items: Vec<TaskSlot> = Vec::with_capacity(group.len());
+    let ran = pool.par_eval(plan.groups.len(), |g| {
+        let group = &plan.groups[g];
+        let warm = group.len() > 1;
+        let _warm = warm.then(ThreadWarmGuard::engage);
+        let mut items = Vec::with_capacity(group.len());
         for &i in group {
-            let task = &plan.unique[i].task;
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _scope = mbm_faults::scope(scope_key(&task.canon()));
-                let _policy = PolicyGuard::set(policy);
-                if let Some(interrupt) = mbm_faults::probe(mbm_faults::sites::EXP_TASK) {
-                    return (
-                        task.failed_output(&format!("injected task fault: {interrupt}")),
-                        None,
-                    );
-                }
-                if rec.enabled() {
-                    rec.incr("exp.exec.tasks_run");
-                    let _span = rec.span(task.span_name());
-                    task.run_reported()
-                } else {
-                    task.run_reported()
-                }
-            }));
-            match run {
-                Ok(v) => items.push((i, Ok(v))),
-                Err(payload) => {
-                    if group.len() > 1 {
-                        // The panic may have unwound mid-solve; clear the
-                        // warm slot so the rest of the group continues from
-                        // a cold (deterministic) seed rather than a
-                        // half-written profile.
-                        SolveWorkspace::set_thread_warm(true);
-                    }
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    items.push((i, Err(message)));
-                }
+            let run = mbm_par::catch_quiet(|| run_task(&plan.unique[i].task, policy));
+            if warm && run.is_err() {
+                // The panic may have unwound mid-solve: drop the
+                // half-written warm profile.
+                SolveWorkspace::set_thread_warm(true);
             }
+            items.push((i, run));
         }
         items
     });
-
-    let mut per_task: Vec<Option<TaskResult>> = (0..plan.unique.len()).map(|_| None).collect();
-    for (group, slot) in groups.iter().zip(group_outputs) {
-        match slot {
-            Ok(items) => {
-                for (i, r) in items {
-                    per_task[i] = Some(r);
-                }
-            }
-            // The per-task catch_unwind makes a group-level panic
-            // unreachable, but if one ever escapes, charge every member.
-            Err(panic) => {
-                for &i in group {
-                    per_task[i] = Some(Err(panic.message.clone()));
-                }
-            }
-        }
+    let mut slots: Vec<Option<_>> = plan.unique.iter().map(|_| None).collect();
+    for (i, run) in ran.into_iter().flatten() {
+        slots[i] = Some(run);
     }
-    let slots = per_task
-        .into_iter()
-        .zip(&plan.unique)
-        .map(|(slot, entry)| match slot {
-            Some(Ok((output, report))) => (output, report, false),
-            Some(Err(message)) => {
-                if rec.enabled() {
-                    rec.incr("exp.exec.panics_isolated");
-                }
-                let error = format!("worker panic isolated: {message}");
-                (entry.task.failed_output(&error), None, true)
-            }
-            None => {
-                let error = "task missing from continuation schedule".to_string();
-                (entry.task.failed_output(&error), None, true)
-            }
-        })
-        .collect();
-    collect_results(plan, slots)
-}
 
-/// Shared bookkeeping tail of the executors: failure registration for
-/// required tasks, report capture, and the `exp.exec.*` batch totals.
-fn collect_results(
-    plan: &Plan,
-    slots: Vec<(TaskOutput, Option<SolveReport>, bool)>,
-) -> TaskResults {
-    let rec = mbm_obs::global();
     let mut results = TaskResults::default();
-    for (entry, (output, report, panicked)) in plan.unique.iter().zip(slots) {
+    for (entry, slot) in plan.unique.iter().zip(slots) {
+        let (output, report, panicked) =
+            match slot.expect("Plan::groups partitions the unique tasks") {
+                Ok((output, report)) => (output, report, false),
+                Err(message) => {
+                    if rec.enabled() {
+                        rec.incr("exp.exec.panics_isolated");
+                    }
+                    let error = format!("worker panic isolated: {message}");
+                    (entry.task.failed_output(&error), None, true)
+                }
+            };
         if entry.required {
             if let Some(error) = output.error() {
                 results.failures.push(TaskFailure {
@@ -314,6 +178,27 @@ fn collect_results(
         rec.add("exp.exec.reported_solves", results.reports.len() as u64);
     }
     results
+}
+
+/// The per-task prologue: the task's fault scope, the batch's solve
+/// policy, the `exp.task` probe and the task's telemetry span.
+fn run_task(task: &Task, policy: SolvePolicy) -> (TaskOutput, Option<SolveReport>) {
+    let _scope = mbm_faults::scope(scope_key(&task.canon()));
+    let _policy = PolicyGuard::set(policy);
+    if let Some(interrupt) = mbm_faults::probe(mbm_faults::sites::EXP_TASK) {
+        // An injected `panic` kind unwinds inside the probe (and is
+        // isolated by the caller); every other interrupt fails just this
+        // task.
+        return (task.failed_output(&format!("injected task fault: {interrupt}")), None);
+    }
+    let rec = mbm_obs::global();
+    if rec.enabled() {
+        rec.incr("exp.exec.tasks_run");
+        let _span = rec.span(task.span_name());
+        task.run_reported()
+    } else {
+        task.run_reported()
+    }
 }
 
 impl TaskResults {

@@ -14,10 +14,9 @@
 //! * the **planner** ([`planner`]) keys every task by the exact bit patterns
 //!   of its inputs, so identical subgame/leader solves requested by several
 //!   specs (or several grid points) are planned **once**;
-//! * the **executor** ([`executor`]) fans the unique batch across
-//!   [`mbm_par::Pool::par_eval`] in first-seen order — results are bitwise
-//!   identical at any thread count — and records per-task telemetry through
-//!   [`mbm_obs`];
+//! * the **executor** ([`executor`]) fans the plan's schedule across
+//!   [`mbm_par::Pool::par_eval`] — results are bitwise identical at any
+//!   thread count — and records per-task telemetry through [`mbm_obs`];
 //! * market-level solves route through [`mbm_core::scenario::Scenario`],
 //!   the one solve path, so specs cannot drift from the library;
 //! * rendering is deterministic, so the serialized

@@ -7,8 +7,16 @@
 //! output object. Because keys are exact (no quantization at this layer),
 //! dedup is provably result-preserving: the batch output is bitwise
 //! identical to solving every spec naively on its own.
+//!
+//! The plan also carries the execution schedule ([`Plan::groups`]): one
+//! task per group by default, or whole continuation families per group
+//! after [`Plan::warm`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+use mbm_core::params::Prices;
+use mbm_core::solver::nearest_neighbor_order;
 
 use crate::task::{Task, TaskKey};
 
@@ -88,18 +96,56 @@ impl PlanStats {
     }
 }
 
-/// A compiled batch: the unique tasks in first-seen order plus accounting.
+/// A compiled batch: the unique tasks in first-seen order, the schedule
+/// that runs them, and accounting.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Deduplicated tasks, ordered by first request (spec order, then task
-    /// order within a spec) — the executor fans this list out verbatim, so
-    /// execution order is deterministic.
+    /// order within a spec). Results are reported in this order.
     pub unique: Vec<UniqueTask>,
+    /// The schedule: a partition of `unique`'s indices. The executor fans
+    /// the groups out, and runs each group's tasks serially, in order, on
+    /// one worker, so execution is a pure function of the plan.
+    pub groups: Vec<Vec<usize>>,
     /// Dedup accounting.
     pub stats: PlanStats,
 }
 
-/// Compiles per-spec task lists into a deduplicated [`Plan`].
+impl Plan {
+    /// The warm-started continuation schedule (DESIGN.md §13): unique tasks
+    /// that share a [`Task::grid_family`] (same follower solve, different
+    /// price point) form one group, ordered along the nearest-neighbor path
+    /// through their [`Task::grid_prices`], so each solve can seed from its
+    /// predecessor's equilibrium. Groups come in first-seen order; tasks
+    /// without a family stay alone.
+    #[must_use]
+    pub fn warm(self) -> Plan {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut family_group: HashMap<TaskKey, usize> = HashMap::new();
+        for (i, entry) in self.unique.iter().enumerate() {
+            match entry.task.grid_family().map(|family| family_group.entry(family)) {
+                Some(Entry::Occupied(g)) => groups[*g.get()].push(i),
+                Some(Entry::Vacant(slot)) => {
+                    slot.insert(groups.len());
+                    groups.push(vec![i]);
+                }
+                None => groups.push(vec![i]),
+            }
+        }
+        for group in &mut groups {
+            let points: Option<Vec<Prices>> =
+                group.iter().map(|&i| self.unique[i].task.grid_prices()).collect();
+            if let Some(points) = points {
+                *group = nearest_neighbor_order(&points).into_iter().map(|k| group[k]).collect();
+            }
+        }
+        Plan { groups, ..self }
+    }
+}
+
+/// Compiles per-spec task lists into a deduplicated [`Plan`] that runs
+/// every task in a group of its own (see [`Plan::warm`] for the other
+/// schedule).
 ///
 /// Publishes `exp.plan.*` counters and the cross-spec hit rate to the
 /// global recorder when telemetry is enabled.
@@ -112,7 +158,7 @@ pub fn plan(spec_tasks: &[Vec<PlannedTask>]) -> Plan {
         for planned in tasks {
             stats.requested += 1;
             match index.entry(planned.task.canon()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
+                Entry::Occupied(slot) => {
                     stats.dedup_hits += 1;
                     let entry = &mut unique[*slot.get()];
                     entry.required |= planned.required;
@@ -120,7 +166,7 @@ pub fn plan(spec_tasks: &[Vec<PlannedTask>]) -> Plan {
                         stats.cross_spec_hits += 1;
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(unique.len());
                     unique.push(UniqueTask {
                         task: planned.task.clone(),
@@ -133,7 +179,8 @@ pub fn plan(spec_tasks: &[Vec<PlannedTask>]) -> Plan {
     }
     stats.unique = unique.len();
     publish(&stats);
-    Plan { unique, stats }
+    let groups = (0..unique.len()).map(|i| vec![i]).collect();
+    Plan { unique, groups, stats }
 }
 
 fn publish(stats: &PlanStats) {
@@ -154,16 +201,20 @@ fn publish(stats: &PlanStats) {
 mod tests {
     use super::*;
     use crate::market::{baseline_market, BUDGET, N_MINERS};
-    use mbm_core::params::Prices;
     use mbm_core::scenario::EdgeOperation;
     use mbm_core::subgame::SubgameConfig;
 
     fn sym(p_c: f64) -> Task {
+        sym_family(BUDGET, p_c)
+    }
+
+    /// Symmetric subgames with equal budgets form one continuation family.
+    fn sym_family(budget: f64, p_c: f64) -> Task {
         Task::SymSubgame {
             op: EdgeOperation::Connected,
             params: baseline_market(),
             prices: Prices::new(4.0, p_c).unwrap(),
-            budget: BUDGET,
+            budget,
             n: N_MINERS,
             cfg: SubgameConfig::default(),
         }
@@ -184,5 +235,48 @@ mod tests {
         assert!(!plan.unique[1].required);
         assert!((plan.stats.hit_rate() - 0.5).abs() < 1e-12);
         assert!((plan.stats.cross_spec_hit_rate() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn warm_schedule_groups_families_along_nearest_neighbor_paths() {
+        let (a, b) = (BUDGET, 2.0 * BUDGET);
+        let closed = Task::ClosedForms {
+            params: baseline_market(),
+            prices: Prices::new(4.0, 2.0).unwrap(),
+            n: N_MINERS,
+        };
+        // Two interleaved families whose first-seen price order is not
+        // their nearest-neighbor path, and one task without a family.
+        let tasks = vec![
+            sym_family(a, 3.0),
+            sym_family(b, 1.5),
+            closed,
+            sym_family(a, 1.0),
+            sym_family(b, 3.5),
+            sym_family(a, 2.9),
+            sym_family(b, 1.6),
+        ];
+        let cold = plan(&[tasks.into_iter().map(PlannedTask::tolerant).collect()]);
+        let n = cold.unique.len();
+        assert_eq!(cold.groups, (0..n).map(|i| vec![i]).collect::<Vec<_>>());
+
+        let warm = cold.warm();
+        let mut covered: Vec<usize> = warm.groups.concat();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..n).collect::<Vec<_>>(), "groups partition the unique tasks");
+        assert!(warm.groups.contains(&vec![2]), "the task without a family stays alone");
+        for group in warm.groups.iter().filter(|g| g.len() > 1) {
+            let family = warm.unique[group[0]].task.grid_family();
+            assert!(family.is_some(), "only continuation families share a group");
+            let mut members: Vec<usize> =
+                (0..n).filter(|&i| warm.unique[i].task.grid_family() == family).collect();
+            let prices: Vec<Prices> =
+                members.iter().map(|&i| warm.unique[i].task.grid_prices().unwrap()).collect();
+            members = nearest_neighbor_order(&prices).into_iter().map(|k| members[k]).collect();
+            assert_eq!(group, &members);
+        }
+        let firsts: Vec<usize> = warm.groups.iter().map(|g| *g.iter().min().unwrap()).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "groups in first-seen order: {firsts:?}");
+        assert_eq!(warm.groups, vec![vec![0, 5, 3], vec![1, 6, 4], vec![2]]);
     }
 }

@@ -72,7 +72,7 @@ proptest! {
         let mut naive = TaskResults::default();
         for spec in &spec_tasks {
             for planned in spec {
-                naive.insert(&planned.task, planned.task.run());
+                naive.insert(&planned.task, planned.task.run_reported().0);
             }
         }
 

@@ -38,24 +38,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
-/// A panic captured from one task of a [`Pool::try_par_eval`] fan-out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Index of the task that panicked.
-    pub index: usize,
-    /// The panic payload rendered to a string (`&str` and `String` payloads;
-    /// anything else is reported as opaque).
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -71,8 +53,9 @@ thread_local! {
 }
 
 /// Routes the process panic hook through a thread-local mute switch so
-/// panics captured by [`Pool::try_par_eval`] don't spray backtraces over
-/// experiment output, while panics everywhere else stay as loud as before.
+/// panics captured by [`catch_quiet`] don't spray backtraces over
+/// experiment output or daemon logs, while panics everywhere else stay as
+/// loud as before.
 fn install_quiet_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -85,19 +68,44 @@ fn install_quiet_panic_hook() {
     });
 }
 
-struct QuietPanicGuard;
+/// Mutes the quiet hook on this thread until dropped, then restores the
+/// previous mute state, so nested [`catch_quiet`] calls stay quiet.
+struct QuietPanicGuard(bool);
 
 impl QuietPanicGuard {
     fn arm() -> Self {
-        SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-        QuietPanicGuard
+        QuietPanicGuard(SUPPRESS_PANIC_OUTPUT.with(|s| s.replace(true)))
     }
 }
 
 impl Drop for QuietPanicGuard {
     fn drop(&mut self) {
-        SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+        SUPPRESS_PANIC_OUTPUT.with(|s| s.set(self.0));
     }
+}
+
+/// The workspace's one panic boundary: runs `f`, and turns a panic inside
+/// it into `Err` with the payload rendered to a string (`&str` and
+/// `String` payloads; anything else is reported as opaque).
+///
+/// The hook output of a caught panic is suppressed (the panic is
+/// *reported*, in the returned value — it is not silent), and each one is
+/// counted on the `par.panics_caught` telemetry counter. Panics outside a
+/// `catch_quiet` call keep the default hook.
+///
+/// # Errors
+///
+/// Returns the rendered panic message when `f` panicked.
+pub fn catch_quiet<U>(f: impl FnOnce() -> U) -> Result<U, String> {
+    install_quiet_panic_hook();
+    let _quiet = QuietPanicGuard::arm();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let rec = mbm_obs::global();
+        if rec.enabled() {
+            rec.incr("par.panics_caught");
+        }
+        panic_message(payload.as_ref())
+    })
 }
 
 /// A sizing handle for scoped parallel execution.
@@ -206,31 +214,6 @@ impl Pool {
             .into_iter()
             .map(|slot| slot.expect("par_eval: every index is claimed exactly once"))
             .collect()
-    }
-
-    /// [`Pool::par_eval`] with per-task panic isolation: a panicking task
-    /// yields `Err(TaskPanic)` in its own slot instead of unwinding through
-    /// the whole fan-out, so one poisoned cell cannot take down a batch.
-    ///
-    /// Captured panics are counted on the `par.panics_caught` telemetry
-    /// counter and their hook output is suppressed (the panic is *reported*,
-    /// in the returned value — it is not silent).
-    pub fn try_par_eval<U, F>(&self, n: usize, f: F) -> Vec<Result<U, TaskPanic>>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        install_quiet_panic_hook();
-        self.par_eval(n, |i| {
-            let _quiet = QuietPanicGuard::arm();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).map_err(|payload| {
-                let rec = mbm_obs::global();
-                if rec.enabled() {
-                    rec.incr("par.panics_caught");
-                }
-                TaskPanic { index: i, message: panic_message(payload.as_ref()) }
-            })
-        })
     }
 
     /// Maps `f` over `items`, returning results in item order.
@@ -440,20 +423,21 @@ mod tests {
     }
 
     #[test]
-    fn try_par_eval_isolates_panics_per_task() {
+    fn catch_quiet_isolates_panics_per_task() {
         for threads in [1, 4] {
-            let out = Pool::new(threads).try_par_eval(64, |i| {
-                if i == 13 {
-                    panic!("task boom {i}");
-                }
-                i * 2
+            let out = Pool::new(threads).par_eval(64, |i| {
+                catch_quiet(|| {
+                    if i == 13 {
+                        panic!("task boom {i}");
+                    }
+                    i * 2
+                })
             });
             assert_eq!(out.len(), 64, "threads = {threads}");
             for (i, slot) in out.iter().enumerate() {
                 if i == 13 {
-                    let err = slot.as_ref().expect_err("task 13 panicked");
-                    assert_eq!(err.index, 13);
-                    assert!(err.message.contains("task boom 13"), "message: {}", err.message);
+                    let message = slot.as_ref().expect_err("task 13 panicked");
+                    assert!(message.contains("task boom 13"), "message: {message}");
                 } else {
                     assert_eq!(slot.as_ref().copied().unwrap(), i * 2, "threads = {threads}");
                 }
@@ -462,12 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn try_par_eval_all_ok_matches_par_eval() {
-        let pool = Pool::new(3);
-        let plain = pool.par_eval(100, |i| i as u64 * 3);
-        let caught: Vec<u64> =
-            pool.try_par_eval(100, |i| i as u64 * 3).into_iter().map(Result::unwrap).collect();
-        assert_eq!(plain, caught);
+    fn catch_quiet_restores_the_mute_state_of_nested_calls() {
+        let muted = || SUPPRESS_PANIC_OUTPUT.with(Cell::get);
+        assert!(!muted());
+        let inner = catch_quiet(|| {
+            assert_eq!(catch_quiet(|| panic!("inner boom")), Err::<(), _>("inner boom".into()));
+            muted()
+        });
+        assert_eq!(inner, Ok(true), "the outer call must stay muted after the inner one");
+        assert!(!muted());
     }
 
     #[test]

@@ -19,17 +19,16 @@
 //! solves stop at their next supervision probe and salvage what they can.
 //!
 //! A panic inside a job (including injected `serve.job:panic` faults) is
-//! caught at the job boundary, counted, answered as a typed `internal`
-//! error, and suppressed from the panic hook — the worker thread survives
-//! and takes the next job.
+//! caught at the job boundary by [`mbm_par::catch_quiet`], counted,
+//! answered as a typed `internal` error, and suppressed from the panic hook
+//! — the worker thread survives and takes the next job.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mbm_core::solver::{
@@ -115,7 +114,6 @@ impl WorkerPool {
     /// buffers are reused across the jobs that land on that thread.
     #[must_use]
     pub fn new(workers: usize, capacity: usize, metrics: Arc<ServeMetrics>) -> Self {
-        install_quiet_panic_hook();
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue { jobs: VecDeque::new(), closed: false }),
@@ -270,7 +268,7 @@ fn execute(job: Job, ws: &mut SolveWorkspace, metrics: &ServeMetrics, cancel: &C
         JobKind::Solve(solve_job) => {
             let remaining = job.deadline.saturating_duration_since(now);
             // Warm continuation: hold the connection's slot for the whole
-            // solve. The guard is taken *before* catch_unwind and released
+            // solve. The guard is taken *before* catch_quiet and released
             // after the state swaps back, so a panic inside the solve can
             // neither poison the mutex nor leak a half-owned slot — the
             // state is only ever updated by a successful solve.
@@ -282,10 +280,9 @@ fn execute(job: Job, ws: &mut SolveWorkspace, metrics: &ServeMetrics, cancel: &C
                 state.set_enabled(true);
                 ws.warm_swap(state);
             }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _quiet = QuietPanicGuard::arm();
+            let outcome = mbm_par::catch_quiet(|| {
                 run_solve(&solve_job, remaining, ws, cancel, job.scope_key)
-            }));
+            });
             if let Some(state) = warm_guard.as_deref_mut() {
                 ws.warm_swap(state);
             }
@@ -309,12 +306,12 @@ fn execute(job: Job, ws: &mut SolveWorkspace, metrics: &ServeMetrics, cancel: &C
                     }
                     render_error(&err)
                 }
-                Err(payload) => {
+                Err(message) => {
                     bump(&metrics.panics_caught);
                     let err = FrameError {
                         id: job.id,
                         kind: ErrorKind::Internal,
-                        message: format!("worker recovered: {}", panic_message(payload.as_ref())),
+                        message: format!("worker recovered: {message}"),
                     };
                     render_error(&err)
                 }
@@ -425,50 +422,6 @@ pub fn scope_key_for(id: Option<u64>) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-thread_local! {
-    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Mirrors `mbm-par`'s quiet hook: panics caught at the job boundary are
-/// reported in the typed response, not sprayed over the daemon's stderr
-/// (the CI smoke greps stderr for escaped panics).
-fn install_quiet_panic_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-struct QuietPanicGuard;
-
-impl QuietPanicGuard {
-    fn arm() -> Self {
-        SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-        QuietPanicGuard
-    }
-}
-
-impl Drop for QuietPanicGuard {
-    fn drop(&mut self) {
-        SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
-    }
 }
 
 #[cfg(test)]
