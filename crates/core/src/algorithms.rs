@@ -1,20 +1,20 @@
 //! The paper's Algorithm 1 and Algorithm 2, as traced, inspectable runs.
 //!
-//! [`crate::stackelberg`] solves the leader stage as an opaque fixed point;
-//! this module re-implements the two published algorithms *as written* —
-//! Algorithm 1 ("Asynchronous Best-Response", leaders updating one at a
-//! time) and Algorithm 2 ("Price Bargaining", miners responding and every
-//! provider re-pricing each round) — and records every round, so
-//! convergence behaviour (including the Edgeworth price cycles documented
-//! in DESIGN.md) can be inspected and plotted. Both run on any number
-//! `K ≥ 2` of providers; the paper's market is
-//! [`ProviderSet::from_market`].
+//! [`crate::stackelberg`] reports only the leader stage's fixed point; this
+//! module runs the same leader search ([`leader_equilibrium`]) undamped
+//! under the two published schedules — Algorithm 1 ("Asynchronous
+//! Best-Response", leaders updating one at a time) and Algorithm 2 ("Price
+//! Bargaining", miners responding and every provider re-pricing each round)
+//! — and records every round, so convergence behaviour (including the
+//! Edgeworth price cycles documented in DESIGN.md) can be inspected and
+//! plotted. Both run on any number `K ≥ 2` of providers; the paper's market
+//! is [`ProviderSet::from_market`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use mbm_game::stackelberg::{leader_equilibrium, LeaderParams, LeaderSchedule};
+use mbm_game::GameError;
 use serde::{Deserialize, Serialize};
-
-use mbm_numerics::optimize::adaptive_grid_max;
 
 use crate::error::MiningGameError;
 use crate::market::{PriceVector, ProviderSet};
@@ -123,7 +123,7 @@ pub fn algorithm1_asynchronous_best_response(
     cfg: &AlgorithmConfig,
 ) -> Result<PriceTrace, MiningGameError> {
     let stage = ProviderStage::new(*params, providers.clone(), population, mode, cfg.subgame);
-    run(&stage, init, cfg, false)
+    run(&stage, init, cfg, LeaderSchedule::BestResponse)
 }
 
 /// Algorithm 2 — Price Bargaining: each round the miners respond to the
@@ -142,17 +142,17 @@ pub fn algorithm2_price_bargaining(
     cfg: &AlgorithmConfig,
 ) -> Result<PriceTrace, MiningGameError> {
     let stage = ProviderStage::new(*params, providers.clone(), population, mode, cfg.subgame);
-    run(&stage, init, cfg, true)
+    run(&stage, init, cfg, LeaderSchedule::Bargaining)
 }
 
-/// The round loop of both algorithms: providers re-price in index order,
-/// against the round's opening prices (`simultaneous`) or against the
-/// prices as updated so far.
+/// Both algorithms: the serial leader search under `schedule` with `cfg`'s
+/// tolerance, round cap and grid and no damping, recording one round per
+/// observed price vector. Running out of rounds is `converged: false`.
 fn run(
     stage: &ProviderStage,
     init: &PriceVector,
     cfg: &AlgorithmConfig,
-    simultaneous: bool,
+    schedule: LeaderSchedule,
 ) -> Result<PriceTrace, MiningGameError> {
     let k = stage.providers().k();
     if init.len() != k {
@@ -161,53 +161,34 @@ fn run(
             init.len()
         )));
     }
-    let mut prices = init.clone();
-    let mut rounds = vec![record(stage, &prices)];
-    for _ in 0..cfg.max_rounds {
-        let before = prices.clone();
-        for leader in 0..k {
-            let observed = if simultaneous { &before } else { &prices };
-            let price = best_price(stage, leader, observed, cfg)?;
-            prices = prices.with_price(leader, price)?;
-        }
-        rounds.push(record(stage, &prices));
-        if prices.as_slice().iter().zip(before.as_slice()).all(|(p, b)| (p - b).abs() <= cfg.tol) {
-            return Ok(PriceTrace { rounds, converged: true });
-        }
+    let params = LeaderParams {
+        tol: cfg.tol,
+        max_rounds: cfg.max_rounds,
+        grid_points: cfg.grid_points,
+        grid_rounds: cfg.grid_rounds,
+        damping: 1.0,
+    };
+    let mut rounds = Vec::new();
+    let outcome = leader_equilibrium(stage, init.to_vec(), &params, schedule, None, |prices| {
+        rounds.push(record(stage, prices));
+    });
+    match outcome {
+        Ok(_) => Ok(PriceTrace { rounds, converged: true }),
+        Err(GameError::NoConvergence { .. }) => Ok(PriceTrace { rounds, converged: false }),
+        Err(e) => Err(e.into()),
     }
-    Ok(PriceTrace { rounds, converged: false })
 }
 
-fn record(stage: &ProviderStage, prices: &PriceVector) -> PriceRound {
-    let agg = stage.follower_demand(prices).unwrap_or_default();
+/// One round at `prices`, which the search keeps inside the providers'
+/// bounds — strictly positive and finite, so always a valid price vector.
+fn record(stage: &ProviderStage, prices: &[f64]) -> PriceRound {
+    let prices = PriceVector::new(prices).expect("leader search prices lie inside their bounds");
+    let agg = stage.follower_demand(&prices).unwrap_or_default();
     PriceRound {
         prices: prices.to_vec(),
         demand: prices.allocate_demand(&agg),
-        profits: stage.providers().profits(prices, &agg),
+        profits: stage.providers().profits(&prices, &agg),
     }
-}
-
-/// Provider `leader`'s profit-maximizing price against `prices` on the
-/// adaptive grid over its admissible interval.
-fn best_price(
-    stage: &ProviderStage,
-    leader: usize,
-    prices: &PriceVector,
-    cfg: &AlgorithmConfig,
-) -> Result<f64, MiningGameError> {
-    let (lo, hi) = stage.providers().bounds(leader);
-    let objective = |p: f64| {
-        prices
-            .with_price(leader, p)
-            .ok()
-            .and_then(|trial| {
-                let agg = stage.follower_demand(&trial)?;
-                Some(stage.providers().profit(leader, &trial, &agg))
-            })
-            .unwrap_or(f64::NAN)
-    };
-    let r = adaptive_grid_max(objective, lo, hi, cfg.grid_points, cfg.grid_rounds)?;
-    Ok(r.x)
 }
 
 #[cfg(test)]

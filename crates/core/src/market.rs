@@ -130,17 +130,6 @@ impl PriceVector {
         Ok(v)
     }
 
-    /// This vector with provider `i` re-priced to `price`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiningGameError::InvalidParameter`] when `price` is not
-    /// finite and strictly positive.
-    pub(crate) fn with_price(&self, i: usize, price: f64) -> Result<Self, MiningGameError> {
-        let s = self.as_slice();
-        PriceVector::from_fn(s.len(), |j| if j == i { price } else { s[j] })
-    }
-
     /// The `K = 2` vector of a price pair.
     ///
     /// # Errors

@@ -11,10 +11,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use mbm_game::stackelberg::{
-    leader_equilibrium, leader_equilibrium_par, simultaneous_bargaining,
-    simultaneous_bargaining_par, LeaderOutcome, LeaderParams, LeaderStage,
-};
+use mbm_game::stackelberg::{leader_equilibrium, LeaderOutcome, LeaderParams, LeaderStage};
 use mbm_game::GameError;
 use mbm_par::Pool;
 use serde::{Deserialize, Serialize};
@@ -28,14 +25,7 @@ use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
 use crate::subgame::{MinerEquilibrium, SubgameConfig};
 
-/// Leader-update schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LeaderSchedule {
-    /// Sequential asynchronous best response (paper Algorithm 1).
-    BestResponse,
-    /// Simultaneous damped updates (paper Algorithm 2, "price bargaining").
-    Bargaining,
-}
+pub use mbm_game::stackelberg::LeaderSchedule;
 
 /// Execution options for the pipeline: where leader payoffs run and whether
 /// they are memoized. Numerically inert in the following sense:
@@ -357,13 +347,8 @@ fn run_leader_stage<S: LeaderStage + Sync>(
     cfg: &StackelbergConfig,
     pool: Option<&Pool>,
 ) -> Result<LeaderOutcome, GameError> {
-    let solve_once = |params: &LeaderParams, init: Vec<f64>| match (cfg.schedule, pool) {
-        (LeaderSchedule::BestResponse, None) => leader_equilibrium(stage, init, params),
-        (LeaderSchedule::BestResponse, Some(p)) => leader_equilibrium_par(stage, init, params, p),
-        (LeaderSchedule::Bargaining, None) => simultaneous_bargaining(stage, init, params),
-        (LeaderSchedule::Bargaining, Some(p)) => {
-            simultaneous_bargaining_par(stage, init, params, p)
-        }
+    let solve_once = |params: &LeaderParams, init: Vec<f64>| {
+        leader_equilibrium(stage, init, params, cfg.schedule, pool, |_| {})
     };
     match cfg.schedule {
         LeaderSchedule::BestResponse => {

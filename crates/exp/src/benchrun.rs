@@ -35,7 +35,7 @@ use mbm_core::sp::stage::ProviderStage;
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{solve_connected, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
-use mbm_game::stackelberg::{leader_equilibrium, LeaderParams};
+use mbm_game::stackelberg::{leader_equilibrium, LeaderParams, LeaderSchedule, LeaderStage};
 use mbm_par::Pool;
 use serde::Serialize;
 
@@ -174,14 +174,16 @@ fn bench_multistart_memoized() -> BenchRecord {
             ]
         })
         .collect();
-    fn solve_all<S: mbm_game::stackelberg::LeaderStage>(
+    fn solve_all<S: LeaderStage + Sync>(
         stage: &S,
         inits: &[Vec<f64>],
         leader: &LeaderParams,
     ) -> Vec<Option<Vec<f64>>> {
+        let schedule = LeaderSchedule::BestResponse;
         inits
             .iter()
-            .map(|init| leader_equilibrium(stage, init.clone(), leader).map(|o| o.actions).ok())
+            .map(|init| leader_equilibrium(stage, init.clone(), leader, schedule, None, |_| {}))
+            .map(|out| out.map(|o| o.actions).ok())
             .collect()
     }
     let (serial, serial_ms) = best_of(2, || time_ms(|| solve_all(&stage, &inits, &leader)));
