@@ -249,50 +249,19 @@ pub fn learn_on_grid_in(
 /// learned demand with a grid search over its price interval, re-training
 /// the miners at every candidate price.
 ///
+/// With `exec`, the candidate re-trainings fan across the pool. Every
+/// candidate re-seeds its learner from `cfg.seed`, so the evaluations are
+/// independent, and the winning price is picked by the same
+/// first-strict-maximum scan either way: the outcome is bitwise identical at
+/// any thread count.
+///
 /// Returns the updated prices and the learned miners at those prices.
 ///
 /// # Errors
 ///
 /// Propagates configuration and model errors.
+#[allow(clippy::too_many_arguments)] // the slow-timescale inputs plus the pool
 pub fn adapt_prices(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    population: &Population,
-    pool: usize,
-    cfg: &TrainConfig,
-    price_grid: usize,
-) -> Result<(Prices, LearnedMiners), LearnError> {
-    adapt_prices_impl(params, prices, budget, population, pool, cfg, price_grid, None)
-}
-
-/// [`adapt_prices`] with the candidate-price re-trainings fanned across
-/// `exec`.
-///
-/// Every candidate independently re-seeds its learner from `cfg.seed`, so
-/// candidate evaluations are embarrassingly parallel, and the winning price
-/// is selected by the same first-strict-maximum scan as the serial path —
-/// the outcome is bitwise identical at any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`adapt_prices`].
-#[allow(clippy::too_many_arguments)] // mirrors adapt_prices
-pub fn adapt_prices_par(
-    params: &MarketParams,
-    prices: &Prices,
-    budget: f64,
-    population: &Population,
-    pool: usize,
-    cfg: &TrainConfig,
-    price_grid: usize,
-    exec: &mbm_par::Pool,
-) -> Result<(Prices, LearnedMiners), LearnError> {
-    adapt_prices_impl(params, prices, budget, population, pool, cfg, price_grid, Some(exec))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn adapt_prices_impl(
     params: &MarketParams,
     prices: &Prices,
     budget: f64,
@@ -405,62 +374,15 @@ pub struct FullLoopOutcome {
 /// The complete Section VI-C loop: miners learn for a period, providers
 /// adapt, repeated until the prices stop moving (or `max_rounds` runs out —
 /// the last iterate is returned either way, with its residual, since the
-/// stochastic learner never produces exact fixed points).
+/// stochastic learner never produces exact fixed points). With `exec`,
+/// every price adaptation fans across the pool (see [`adapt_prices`]),
+/// bitwise identical at any thread count.
 ///
 /// # Errors
 ///
 /// Propagates configuration and model errors.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub fn full_loop(
-    params: &MarketParams,
-    start: &Prices,
-    budget: f64,
-    population: &Population,
-    pool: usize,
-    cfg: &TrainConfig,
-    price_grid: usize,
-    max_rounds: usize,
-    tol: f64,
-) -> Result<FullLoopOutcome, LearnError> {
-    full_loop_impl(params, start, budget, population, pool, cfg, price_grid, max_rounds, tol, None)
-}
-
-/// [`full_loop`] with every slow-timescale price adaptation fanned across
-/// `exec` (see [`adapt_prices_par`]); bitwise identical to [`full_loop`] at
-/// any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`full_loop`].
-#[allow(clippy::too_many_arguments)] // mirrors full_loop
-pub fn full_loop_par(
-    params: &MarketParams,
-    start: &Prices,
-    budget: f64,
-    population: &Population,
-    pool: usize,
-    cfg: &TrainConfig,
-    price_grid: usize,
-    max_rounds: usize,
-    tol: f64,
-    exec: &mbm_par::Pool,
-) -> Result<FullLoopOutcome, LearnError> {
-    full_loop_impl(
-        params,
-        start,
-        budget,
-        population,
-        pool,
-        cfg,
-        price_grid,
-        max_rounds,
-        tol,
-        Some(exec),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn full_loop_impl(
     params: &MarketParams,
     start: &Prices,
     budget: f64,
@@ -481,7 +403,7 @@ fn full_loop_impl(
     let mut miners = learn_miner_strategies(params, &prices, budget, population, pool, cfg)?;
     for _ in 0..max_rounds {
         let (next, learned) =
-            adapt_prices_impl(params, &prices, budget, population, pool, cfg, price_grid, exec)?;
+            adapt_prices(params, &prices, budget, population, pool, cfg, price_grid, exec)?;
         residual = (next.edge - prices.edge).abs().max((next.cloud - prices.cloud).abs());
         prices = next;
         miners = learned;
@@ -550,15 +472,14 @@ mod tests {
         let p = params();
         let pop = Population::fixed(4).unwrap();
         let cfg = TrainConfig { periods: 30, ..Default::default() };
-        let out = full_loop(&p, &Prices::new(3.0, 1.5).unwrap(), 150.0, &pop, 4, &cfg, 6, 4, 0.3)
-            .unwrap();
+        let start = Prices::new(3.0, 1.5).unwrap();
+        let out = full_loop(&p, &start, 150.0, &pop, 4, &cfg, 6, 4, 0.3, None).unwrap();
         assert!(out.rounds >= 1 && out.rounds <= 4);
         assert!(out.prices.edge > p.esp().cost() && out.prices.edge <= p.esp().price_cap());
         assert!(out.prices.cloud > p.csp().cost() && out.prices.cloud <= p.csp().price_cap());
         // The returned miner behaviour corresponds to the final prices.
         assert!(out.miners.blocks > 0);
-        assert!(full_loop(&p, &Prices::new(3.0, 1.5).unwrap(), 150.0, &pop, 4, &cfg, 6, 0, 0.3)
-            .is_err());
+        assert!(full_loop(&p, &start, 150.0, &pop, 4, &cfg, 6, 0, 0.3, None).is_err());
     }
 
     #[test]
@@ -567,10 +488,10 @@ mod tests {
         let pop = Population::fixed(4).unwrap();
         let cfg = TrainConfig { periods: 8, ..Default::default() };
         let start = Prices::new(3.0, 1.5).unwrap();
-        let serial = adapt_prices(&p, &start, 150.0, &pop, 4, &cfg, 5).unwrap();
+        let serial = adapt_prices(&p, &start, 150.0, &pop, 4, &cfg, 5, None).unwrap();
         for threads in [1, 2, 4] {
             let exec = mbm_par::Pool::new(threads);
-            let par = adapt_prices_par(&p, &start, 150.0, &pop, 4, &cfg, 5, &exec).unwrap();
+            let par = adapt_prices(&p, &start, 150.0, &pop, 4, &cfg, 5, Some(&exec)).unwrap();
             assert_eq!(serial, par, "threads = {threads}");
         }
     }
@@ -628,6 +549,6 @@ mod tests {
         let pop = Population::fixed(4).unwrap();
         let cfg = TrainConfig { periods: 0, ..Default::default() };
         assert!(learn_miner_strategies(&p, &pr, 100.0, &pop, 4, &cfg).is_err());
-        assert!(adapt_prices(&p, &pr, 100.0, &pop, 4, &TrainConfig::default(), 1).is_err());
+        assert!(adapt_prices(&p, &pr, 100.0, &pop, 4, &TrainConfig::default(), 1, None).is_err());
     }
 }

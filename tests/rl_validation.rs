@@ -82,7 +82,7 @@ fn adaptive_pricing_improves_provider_profit() {
     let esp_before = (start.edge - p.esp().cost()) * before.aggregates.edge;
     let csp_before = (start.cloud - p.csp().cost()) * before.aggregates.cloud;
 
-    let (prices, after) = adapt_prices(&p, &start, budget, &pop, 5, &cfg, 8).unwrap();
+    let (prices, after) = adapt_prices(&p, &start, budget, &pop, 5, &cfg, 8, None).unwrap();
     let esp_after = (prices.edge - p.esp().cost()) * after.aggregates.edge;
     let csp_after = (prices.cloud - p.csp().cost()) * after.aggregates.cloud;
 
