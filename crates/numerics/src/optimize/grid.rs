@@ -154,28 +154,6 @@ where
     Ok(GridResult { x: best_x, value: best_v, evaluations: evals })
 }
 
-/// Parallel [`adaptive_grid_max`]: evaluates each round's candidate grid on
-/// `pool`, with selection identical to the serial scan (see
-/// [`adaptive_grid_max_batch`]), so results are bitwise equal to
-/// [`adaptive_grid_max`] at any thread count.
-///
-/// # Errors
-///
-/// As [`adaptive_grid_max`].
-pub fn adaptive_grid_max_par<F>(
-    pool: &mbm_par::Pool,
-    f: F,
-    lo: f64,
-    hi: f64,
-    points: usize,
-    rounds: usize,
-) -> Result<GridResult, NumericsError>
-where
-    F: Fn(f64) -> f64 + Sync,
-{
-    adaptive_grid_max_batch(|xs| pool.par_map(xs, |_, &x| f(x)), lo, hi, points, rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +201,9 @@ mod tests {
         let serial = adaptive_grid_max(f, -2.0, 8.0, 33, 6).unwrap();
         for threads in [1, 2, 4, 9] {
             let pool = mbm_par::Pool::new(threads);
-            let par = adaptive_grid_max_par(&pool, f, -2.0, 8.0, 33, 6).unwrap();
+            let par =
+                adaptive_grid_max_batch(|xs| pool.par_map(xs, |_, &x| f(x)), -2.0, 8.0, 33, 6)
+                    .unwrap();
             assert_eq!(serial.x.to_bits(), par.x.to_bits(), "threads = {threads}");
             assert_eq!(serial.value.to_bits(), par.value.to_bits(), "threads = {threads}");
             assert_eq!(serial.evaluations, par.evaluations);

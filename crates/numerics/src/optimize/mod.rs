@@ -12,5 +12,5 @@ pub mod grid;
 pub mod projected_gradient;
 
 pub use golden::{golden_section_max, GoldenResult};
-pub use grid::{adaptive_grid_max, adaptive_grid_max_batch, adaptive_grid_max_par, GridResult};
+pub use grid::{adaptive_grid_max, adaptive_grid_max_batch, GridResult};
 pub use projected_gradient::{projected_gradient_max, PgParams, PgResult};
