@@ -22,11 +22,11 @@
 //! Usage: `experiments-bench [output.json] [telemetry.json]` (also reachable
 //! as the legacy `bench1` binary).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mbm_chain_sim::pow::{Puzzle, Target};
 use mbm_core::market::{PriceVector, ProviderSet};
-use mbm_core::params::{Prices, Provider};
+use mbm_core::params::{MarketParams, Prices, Provider};
 use mbm_core::request::Aggregates;
 use mbm_core::scenario::EdgeOperation;
 use mbm_core::solver::{FollowerSolver, SolveWorkspace, TieredSolver};
@@ -35,6 +35,7 @@ use mbm_core::sp::stage::ProviderStage;
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{solve_connected, ExecConfig, StackelbergConfig};
 use mbm_core::subgame::SubgameConfig;
+use mbm_faults::{CancelToken, Supervision};
 use mbm_game::stackelberg::{leader_equilibrium, LeaderParams, LeaderSchedule, LeaderStage};
 use mbm_par::Pool;
 use serde::Serialize;
@@ -759,6 +760,54 @@ fn bench_obs_overhead() -> BenchRecord {
     }
 }
 
+/// Unarmed vs armed wall clock of one band-sized aggregate-connected solve
+/// (N = 128, `P_e = P_c`, uniform budget), the served solve whose per-miner
+/// best responses probe the root finder at every Brent step. `serial_ms` is
+/// the unarmed solve, `parallel_ms` the same solve under the supervision a
+/// serve job arms (a deadline and a cancel token); `speedup` < 1 is the
+/// cost of armed probes. Supervision must never change results, so the two
+/// answers are asserted bitwise equal. Reading the deadline clock at every
+/// root-finder iteration measured about 0.5 here; the floor fails the run if
+/// armed probes become a hot-path cost again.
+fn bench_supervision_overhead() -> BenchRecord {
+    let params = MarketParams::builder().build().expect("default market");
+    let prices = Prices::new(3.0, 3.0).expect("valid prices");
+    let budgets = vec![100.0; 128];
+    let cfg = SubgameConfig::default();
+    let solve = || {
+        let (eq, report) = TieredSolver::aggregate_connected(&params, &prices, &budgets, &cfg)
+            .solve_equilibrium()
+            .expect("band solve");
+        let bits = eq
+            .requests
+            .iter()
+            .flat_map(|r| [r.edge, r.cloud])
+            .chain(eq.utilities.iter().copied())
+            .chain([eq.aggregates.edge, eq.aggregates.cloud, eq.residual])
+            .map(f64::to_bits)
+            .collect::<Vec<_>>();
+        (bits, report)
+    };
+    let supervision =
+        Supervision { deadline: Some(Duration::from_secs(600)), cancel: Some(CancelToken::new()) };
+    let (unarmed, unarmed_ms) = best_of(2, || time_ms(solve));
+    let (armed, armed_ms) = best_of(2, || {
+        time_ms(|| {
+            let _armed = supervision.enter();
+            solve()
+        })
+    });
+    assert_eq!(unarmed, armed, "supervision must never change results");
+    BenchRecord {
+        name: "supervision_overhead_armed_vs_unarmed".into(),
+        serial_ms: unarmed_ms,
+        parallel_ms: armed_ms,
+        speedup: unarmed_ms / armed_ms,
+        floor: 0.8,
+        miners_per_sec: 0.0,
+    }
+}
+
 /// The synthetic overlapping batch of the engine record: four NEP price
 /// sweeps on a shared dyadic `P_c` lattice, each spec shifted by one grid
 /// point, so consecutive specs request mostly identical solves (8/9
@@ -872,6 +921,7 @@ pub fn main_bench1() -> i32 {
             bench_oligopoly_grid_sweep(),
             bench_store_warm_replay(),
             bench_obs_overhead(),
+            bench_supervision_overhead(),
             engine_record,
         ],
         engine: engine_stats,
