@@ -9,11 +9,12 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use mbm_core::error::MiningGameError;
 use mbm_core::params::{MarketParams, Prices};
 use mbm_core::solver::{
-    DegradeMode, SolveMethod, SolvePolicy, SolveStatus, SolveWorkspace, TieredSolver,
+    DegradeMode, SolveMethod, SolvePolicy, SolveReport, SolveStatus, SolveWorkspace, TieredSolver,
 };
-use mbm_core::subgame::SubgameConfig;
+use mbm_core::subgame::{MinerEquilibrium, SubgameConfig};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -132,26 +133,92 @@ fn zero_deadline_interrupts_before_any_tier() {
     assert!(!err.is_convergence_failure());
 }
 
+/// Every f64 of an answer, as bits.
+fn equilibrium_bits(eq: &MinerEquilibrium) -> Vec<u64> {
+    eq.requests
+        .iter()
+        .flat_map(|r| [r.edge, r.cloud])
+        .chain(eq.utilities.iter().copied())
+        .chain([eq.aggregates.edge, eq.aggregates.cloud, eq.residual])
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Whether `solve` reaches the root finder: under a plan that fails every
+/// root-finder iteration, the injection tally records a firing.
+fn reaches_root_finder<T>(solve: impl Fn() -> T) -> bool {
+    let plan = mbm_faults::FaultPlan::parse("numerics.roots:misconverge@1").unwrap();
+    let _guard = mbm_faults::install(plan);
+    mbm_faults::reset_tally();
+    let _ = solve();
+    let reached = mbm_faults::injection_tally().contains_key("numerics.roots:misconverge");
+    mbm_faults::reset_tally();
+    reached
+}
+
+type Answer = Result<(Vec<u64>, SolveReport), MiningGameError>;
+
 /// A non-strict policy must not perturb solves that succeed on the first
 /// attempt: same answer, same report bookkeeping, just richer supervision.
+/// The policy's 60-s deadline arms every probe, so the chains that reach the
+/// root finder, whose probes read the deadline clock once per stride, are
+/// compared bit for bit as well.
 #[test]
 fn resilient_policy_is_bitwise_identical_on_converging_solves() {
-    let prices = Prices::new(4.0, 2.0).unwrap();
     let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let market = market();
     let cfg = SubgameConfig::default();
-    let (strict_r, strict_report) =
-        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &cfg)
-            .solve_per_miner()
-            .unwrap();
+    let prices = Prices::new(4.0, 2.0).unwrap();
+    let band = Prices::new(3.0, 3.0).unwrap();
+    let budgets = [80.0, 120.0, 160.0, 200.0, 240.0];
+    let band_budgets = vec![100.0; 64];
+    let full = |solver: TieredSolver<'_>| -> Answer {
+        let (eq, report) = solver.solve_equilibrium()?;
+        Ok((equilibrium_bits(&eq), report))
+    };
+    let symmetric = || -> Answer {
+        let (r, report) = TieredSolver::symmetric_connected(&market, &prices, 200.0, 5, &cfg)
+            .solve_per_miner()?;
+        Ok((vec![r.edge.to_bits(), r.cloud.to_bits()], report))
+    };
+    let band_aggregate =
+        || full(TieredSolver::aggregate_connected(&market, &band, &band_budgets, &cfg));
+    let connected = || full(TieredSolver::connected(&market, &band, &budgets, &cfg));
+    // At a tight edge capacity the extragradient tier stops short and the
+    // chain answers by best-response dynamics, which reach the root finder.
+    let tight = MarketParams::builder()
+        .reward(100.0)
+        .fork_rate(0.2)
+        .edge_availability(0.8)
+        .e_max(0.5)
+        .build()
+        .unwrap();
+    let standalone = || full(TieredSolver::standalone(&tight, &prices, &budgets, &cfg));
+    let chains: [(&str, &dyn Fn() -> Answer, bool); 4] = [
+        ("symmetric connected", &symmetric, false),
+        ("band aggregate connected", &band_aggregate, true),
+        ("heterogeneous connected", &connected, true),
+        ("heterogeneous standalone", &standalone, true),
+    ];
+    for (name, solve, reaches_roots) in chains {
+        if reaches_roots {
+            assert!(
+                reaches_root_finder(solve),
+                "{name}: the chain no longer reaches the root finder"
+            );
+        }
+        let (strict_bits, strict_report) = solve().unwrap();
+        let previous = SolveWorkspace::set_thread_policy(SolvePolicy::resilient(Some(
+            Duration::from_secs(60),
+        )));
+        let out = solve();
+        SolveWorkspace::set_thread_policy(previous);
+        let (resilient_bits, resilient_report) = out.unwrap();
 
-    let previous =
-        SolveWorkspace::set_thread_policy(SolvePolicy::resilient(Some(Duration::from_secs(60))));
-    let out =
-        TieredSolver::symmetric_connected(&market(), &prices, 200.0, 5, &cfg).solve_per_miner();
-    SolveWorkspace::set_thread_policy(previous);
-    let (resilient_r, resilient_report) = out.unwrap();
-
-    assert_eq!(strict_r.edge.to_bits(), resilient_r.edge.to_bits());
-    assert_eq!(strict_r.cloud.to_bits(), resilient_r.cloud.to_bits());
-    assert_eq!(strict_report, resilient_report);
+        assert_eq!(strict_bits, resilient_bits, "{name}: answer bits");
+        assert_eq!(strict_report, resilient_report, "{name}: report");
+        // Debug renders every f64 so that it round-trips, so equal renderings
+        // are equal bits, residual and certificate included.
+        assert_eq!(format!("{strict_report:?}"), format!("{resilient_report:?}"), "{name}");
+    }
 }
