@@ -104,8 +104,6 @@ pub enum LeaderSchedule {
 pub struct LeaderOutcome {
     /// Equilibrium actions (prices).
     pub actions: Vec<f64>,
-    /// Payoffs at the equilibrium actions.
-    pub payoffs: Vec<f64>,
     /// Rounds performed.
     pub rounds: usize,
     /// Final action displacement.
@@ -181,8 +179,7 @@ pub fn leader_equilibrium<S: LeaderStage + Sync>(
         rec.trace("game.leader.residual", residual);
         if residual <= params.tol {
             rec.solver("game.leader", (round + 1) as u64, residual);
-            let payoffs = (0..n).map(|i| stage.payoff(i, &actions)).collect::<Result<_, _>>()?;
-            return Ok(LeaderOutcome { actions, payoffs, rounds: round + 1, residual });
+            return Ok(LeaderOutcome { actions, rounds: round + 1, residual });
         }
     }
     rec.solver_failure("game.leader", params.max_rounds as u64);
@@ -289,7 +286,7 @@ mod tests {
         assert!((out.actions[0] - 2.0 / 3.0).abs() < 1e-4, "{:?}", out.actions);
         assert!((out.actions[1] - 2.0 / 3.0).abs() < 1e-4, "{:?}", out.actions);
         // Payoff at equilibrium: p(1 - p + 0.5p) = p(1 - 0.5p) = 2/3 * 2/3.
-        assert!((out.payoffs[0] - 4.0 / 9.0).abs() < 1e-3);
+        assert!((PriceDuopoly.payoff(0, &out.actions).unwrap() - 4.0 / 9.0).abs() < 1e-3);
     }
 
     #[test]
