@@ -61,7 +61,6 @@
     clippy::explicit_counter_loop
 )]
 
-pub mod difficulty;
 pub mod engine;
 pub mod error;
 pub mod fork;

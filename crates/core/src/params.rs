@@ -197,13 +197,6 @@ impl MarketParams {
         self
     }
 
-    /// Returns a copy with a different CSP description.
-    #[must_use]
-    pub fn with_csp(mut self, csp: Provider) -> Self {
-        self.csp = csp;
-        self
-    }
-
     /// Fork rate implied by a cloud communication delay, using the
     /// exponential collision model of the paper's Fig. 2:
     /// `β = 1 − e^{−delay/τ}` with mean collision time `τ`.

@@ -6,8 +6,6 @@
 //! * [`stage`] — the [`mbm_game::stackelberg::LeaderStage`] embedding the
 //!   miner subgame into every provider's payoff (backward induction), for
 //!   any number of providers.
-//! * [`cache`] — quantized-price memoization of leader payoffs: repeated
-//!   best-response rounds at nearby prices reuse miner-subgame solves.
 //! * [`mixed`] — mixed-strategy pricing via regret matching on the
 //!   discretized leader game, for the Edgeworth-cycle region where no pure
 //!   equilibrium exists.
@@ -15,7 +13,6 @@
 //! [`profits`] and [`revenues`] account a follower outcome at the reduced
 //! price pair (the market report and the serve wire).
 
-pub mod cache;
 pub mod mixed;
 pub mod pricing;
 pub mod stage;

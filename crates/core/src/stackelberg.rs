@@ -11,7 +11,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use mbm_game::stackelberg::{leader_equilibrium, LeaderOutcome, LeaderParams, LeaderStage};
+use mbm_game::stackelberg::{leader_equilibrium, LeaderOutcome, LeaderParams};
 use mbm_game::GameError;
 use mbm_par::Pool;
 use serde::{Deserialize, Serialize};
@@ -20,7 +20,6 @@ use crate::error::MiningGameError;
 use crate::market::{PriceVector, ProviderSet};
 use crate::params::{validate_budgets, EdgeOperation, MarketParams, Prices};
 use crate::solver::{SolveReport, TieredSolver};
-use crate::sp::cache::CachedStage;
 use crate::sp::stage::ProviderStage;
 use crate::sp::MinerPopulation;
 use crate::subgame::{MinerEquilibrium, SubgameConfig};
@@ -28,16 +27,9 @@ use crate::subgame::{MinerEquilibrium, SubgameConfig};
 pub use mbm_game::stackelberg::LeaderSchedule;
 
 /// Execution options for the pipeline: where leader payoffs run and whether
-/// they are memoized. Numerically inert in the following sense:
-///
-/// * any `threads` count gives bitwise-identical results (candidate grids are
-///   evaluated in parallel but *selected* serially);
-/// * any `cache_capacity ≥ 1` gives bitwise-identical results (cached payoffs
-///   are pure functions of quantized prices; see [`crate::sp::cache`]).
-///
-/// Enabling the cache (vs `cache_capacity = 0`) quantizes candidate prices to
-/// `leader.tol / 100`, which moves equilibria below the solver's resolution
-/// but not bitwise — hence it is opt-in.
+/// the solve publishes telemetry. Numerically inert: any `threads` count
+/// gives bitwise-identical results (candidate grids are evaluated in
+/// parallel but *selected* serially).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecConfig {
     /// Worker threads for leader-stage candidate evaluation: `1` runs serial
@@ -45,30 +37,21 @@ pub struct ExecConfig {
     /// pool). Call [`ExecConfig::effective_threads`] to get the resolved
     /// count — never read `MBM_PAR_THREADS` directly.
     pub threads: usize,
-    /// Leader-payoff memo cache capacity in entries (`0` disables caching
-    /// and quantization entirely).
-    pub cache_capacity: usize,
     /// When `true`, the pipeline drivers publish solve-level telemetry
-    /// (effective thread gauge, memo-cache hit/miss counters, leader rounds,
-    /// wall-clock spans) to [`mbm_obs::global`]. Events still only land if
-    /// that recorder is enabled; the flag exists so unrelated solves in the
-    /// same process do not pollute a scoped measurement.
+    /// (effective thread gauge, leader rounds, wall-clock spans) to
+    /// [`mbm_obs::global`]. Events still only land if that recorder is
+    /// enabled; the flag exists so unrelated solves in the same process do
+    /// not pollute a scoped measurement.
     #[serde(default)]
     pub telemetry: bool,
 }
 
 impl ExecConfig {
-    /// Serial, uncached, untelemetered: the reference execution mode (also
+    /// Serial and untelemetered: the reference execution mode (also
     /// [`Default`]).
     #[must_use]
     pub fn serial() -> Self {
-        ExecConfig { threads: 1, cache_capacity: 0, telemetry: false }
-    }
-
-    /// Auto-sized worker pool plus a generously sized payoff cache.
-    #[must_use]
-    pub fn accelerated() -> Self {
-        ExecConfig { threads: 0, cache_capacity: 1 << 16, telemetry: false }
+        ExecConfig { threads: 1, telemetry: false }
     }
 
     /// Same execution settings with telemetry publication switched on.
@@ -110,17 +93,9 @@ pub struct StackelbergConfig {
     pub subgame: SubgameConfig,
     /// Leader-update schedule.
     pub schedule: LeaderSchedule,
-    /// Execution options (parallelism and payoff memoization).
+    /// Execution options (parallelism and telemetry).
     #[serde(default)]
     pub exec: ExecConfig,
-}
-
-impl StackelbergConfig {
-    /// Default settings with [`ExecConfig::accelerated`] execution.
-    #[must_use]
-    pub fn accelerated() -> Self {
-        StackelbergConfig { exec: ExecConfig::accelerated(), ..Default::default() }
-    }
 }
 
 impl Default for StackelbergConfig {
@@ -291,22 +266,12 @@ fn solve(
             rec.gauge(k, providers.k() as u64);
         }
         rec.gauge("core.exec.threads", threads as u64);
-        rec.gauge("core.exec.cache_capacity", cfg.exec.cache_capacity as u64);
     }
     let stage =
         ProviderStage::new(*params, providers.clone(), population_of(budgets), mode, cfg.subgame);
     let init = providers.midpoint_prices().to_vec();
     let pool = (threads > 1).then(|| Pool::new(threads));
-    let out = if cfg.exec.cache_capacity > 0 {
-        let cached = CachedStage::new(&stage, cfg.leader.tol, cfg.exec.cache_capacity);
-        let out = run_leader_stage(&cached, init, cfg, pool.as_ref());
-        if telemetry {
-            cached.publish_stats(rec);
-        }
-        out?
-    } else {
-        run_leader_stage(&stage, init, cfg, pool.as_ref())?
-    };
+    let out = run_leader_stage(&stage, init, cfg, pool.as_ref())?;
     if telemetry {
         rec.add(metrics.rounds, out.rounds as u64);
         rec.observe(metrics.residual, out.residual);
@@ -333,7 +298,7 @@ fn solve(
     })
 }
 
-/// Runs the configured leader schedule on any stage, serially or on `pool`.
+/// Runs the configured leader schedule on `stage`, serially or on `pool`.
 ///
 /// The leader game can lack a pure Nash equilibrium: whenever the CSP's
 /// stationary price exceeds the ESP's unit cost, the ESP's best response
@@ -341,8 +306,8 @@ fn solve(
 /// producing an Edgeworth-style price cycle (see DESIGN.md). Best response
 /// therefore retries with increasing damping, which settles near-cycles; a
 /// genuine cycle still reports `NoConvergence` honestly.
-fn run_leader_stage<S: LeaderStage + Sync>(
-    stage: &S,
+fn run_leader_stage(
+    stage: &ProviderStage,
     init: Vec<f64>,
     cfg: &StackelbergConfig,
     pool: Option<&Pool>,
@@ -478,7 +443,7 @@ mod tests {
             },
             subgame: SubgameConfig { tol: 1e-7, ..Default::default() },
             schedule: LeaderSchedule::BestResponse,
-            exec: ExecConfig::accelerated(),
+            exec: ExecConfig::default(),
         };
         let sol = solve_connected(&p, &[50.0, 100.0, 200.0], &cfg).unwrap();
         assert!(sol.prices.edge > sol.prices.cloud);
@@ -501,40 +466,12 @@ mod tests {
         let serial = solve_connected(&p, &[200.0; 5], &StackelbergConfig::default()).unwrap();
         for threads in [2, 4] {
             let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false },
+                exec: ExecConfig { threads, telemetry: false },
                 ..Default::default()
             };
             let par = solve_connected(&p, &[200.0; 5], &cfg).unwrap();
             assert_eq!(serial, par, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn cached_execution_is_capacity_and_thread_invariant() {
-        let p = params();
-        let base = StackelbergConfig::default();
-        let reference = solve_connected(
-            &p,
-            &[200.0; 5],
-            &StackelbergConfig {
-                exec: ExecConfig { threads: 1, cache_capacity: 1, telemetry: false },
-                ..base
-            },
-        )
-        .unwrap();
-        for (threads, capacity) in [(1, 1 << 16), (4, 1), (4, 1 << 16)] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
-                ..base
-            };
-            let sol = solve_connected(&p, &[200.0; 5], &cfg).unwrap();
-            assert_eq!(reference, sol, "threads = {threads}, capacity = {capacity}");
-        }
-        // Quantization stays below the solver's resolution relative to the
-        // exact (uncached) pipeline.
-        let exact = solve_connected(&p, &[200.0; 5], &base).unwrap();
-        assert!((exact.prices.edge - reference.prices.edge).abs() <= 10.0 * base.leader.tol);
-        assert!((exact.prices.cloud - reference.prices.cloud).abs() <= 10.0 * base.leader.tol);
     }
 
     fn three_provider_set() -> ProviderSet {
@@ -573,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn k3_cached_and_parallel_execution_is_bitwise_serial() {
+    fn k3_parallel_execution_is_bitwise_serial() {
         let p = params();
         let set = three_provider_set();
         let serial = solve_oligopoly(
@@ -584,21 +521,12 @@ mod tests {
             &StackelbergConfig::default(),
         )
         .unwrap();
-        for (threads, capacity) in [(4, 0), (1, 1 << 14), (4, 1 << 14)] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
-                ..Default::default()
-            };
-            let other =
-                solve_oligopoly(&p, &set, &[200.0; 5], EdgeOperation::Connected, &cfg).unwrap();
-            if capacity == 0 {
-                assert_eq!(serial, other, "threads {threads}");
-            } else {
-                // Quantization moves prices below the solver's resolution.
-                for (a, b) in serial.prices.iter().zip(&other.prices) {
-                    assert!((a - b).abs() <= 10.0 * cfg.leader.tol, "{serial:?} vs {other:?}");
-                }
-            }
-        }
+        let cfg = StackelbergConfig {
+            exec: ExecConfig { threads: 4, telemetry: false },
+            ..Default::default()
+        };
+        let pooled =
+            solve_oligopoly(&p, &set, &[200.0; 5], EdgeOperation::Connected, &cfg).unwrap();
+        assert_eq!(serial, pooled);
     }
 }

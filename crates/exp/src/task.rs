@@ -508,13 +508,7 @@ impl Keyer {
         });
         // Thread count and telemetry never change results, so they stay
         // out of the identity: the same solve at different thread counts is
-        // the same task. The payoff cache does change results — it snaps
-        // candidate prices to `leader.tol / 100` — so a cached solve is a
-        // different task. Any capacity gives the same bits, so only the
-        // switch is keyed, and only when on: uncached keys stay unchanged.
-        if c.exec.cache_capacity > 0 {
-            self.tag(1);
-        }
+        // the same task.
     }
     fn dynamic(&mut self, c: &DynamicConfig) {
         self.f(c.mixing);
@@ -1308,24 +1302,18 @@ mod tests {
     }
 
     #[test]
-    fn only_the_payoff_cache_switch_of_exec_config_is_part_of_the_identity() {
+    fn exec_config_is_not_part_of_the_identity() {
         use mbm_core::stackelberg::ExecConfig;
-        let leader = |threads, cache_capacity, telemetry| Task::Leader {
+        let leader = |threads, telemetry| Task::Leader {
             op: EdgeOperation::Connected,
             params: crate::market::leader_ne_market(),
             budgets: vec![BUDGET; N_MINERS],
             cfg: StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity, telemetry },
+                exec: ExecConfig { threads, telemetry },
                 ..StackelbergConfig::default()
             },
         };
-        let uncached = leader(1, 0, false).canon();
-        let cached = leader(1, 1, false).canon();
-        // The cache snaps prices, so cached and uncached solves differ.
-        assert_ne!(uncached, cached);
-        // Threads, telemetry and the capacity size never change results.
-        assert_eq!(uncached, leader(8, 0, true).canon());
-        assert_eq!(cached, leader(8, 1 << 12, true).canon());
-        assert_eq!(cached, leader(1, 1 << 16, false).canon());
+        // Threads and telemetry never change results.
+        assert_eq!(leader(1, false).canon(), leader(8, true).canon());
     }
 }

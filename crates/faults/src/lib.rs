@@ -40,10 +40,10 @@
 //! // Nothing installed: probes are free and silent.
 //! assert!(probe("numerics.vi.extragradient").is_none());
 //!
-//! // Install a plan that forces every fixed-point iterate to misconverge.
-//! let plan = FaultPlan::parse("seed=7;numerics.fixed_point:misconverge@1").unwrap();
+//! // Install a plan that forces every best-response sweep to misconverge.
+//! let plan = FaultPlan::parse("seed=7;game.br_dynamics:misconverge@1").unwrap();
 //! let _guard = mbm_faults::install(plan);
-//! match probe("numerics.fixed_point") {
+//! match probe("game.br_dynamics") {
 //!     Some(Interrupt::Fault(FaultKind::Misconverge)) => {}
 //!     other => panic!("expected injected misconvergence, got {other:?}"),
 //! }
@@ -64,8 +64,6 @@ use std::time::{Duration, Instant};
 pub mod sites {
     /// Outer iteration of the extragradient VI solver.
     pub const VI_EXTRAGRADIENT: &str = "numerics.vi.extragradient";
-    /// Outer iteration of damped fixed-point iteration.
-    pub const FIXED_POINT: &str = "numerics.fixed_point";
     /// Iterations of the scalar root finders (bisection, Brent, Newton).
     pub const ROOTS: &str = "numerics.roots";
     /// Sweeps of best-response dynamics.
@@ -355,19 +353,6 @@ impl Drop for PlanGuard {
         *slot = self.previous.take();
         PLAN_ACTIVE.store(slot.is_some(), Ordering::Release);
     }
-}
-
-/// The currently installed plan, if any.
-#[must_use]
-pub fn installed_plan() -> Option<FaultPlan> {
-    if !PLAN_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    plan_slot()
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .as_ref()
-        .map(|p| (**p).clone())
 }
 
 /// Whether any probe could currently do work (a plan is installed or at
@@ -865,7 +850,7 @@ mod tests {
         let _g = Supervision::with_deadline(deadline).enter();
         assert!(probe(sites::ROOTS).is_none(), "the deadline is still ahead");
         std::thread::sleep(deadline);
-        assert!(matches!(probe(sites::FIXED_POINT), Some(Interrupt::DeadlineExceeded { .. })));
+        assert!(matches!(probe(sites::VI_EXTRAGRADIENT), Some(Interrupt::DeadlineExceeded { .. })));
         // The probe at another site ended the run, so the next root probe
         // opens a new one and reads the clock too.
         assert!(matches!(probe(sites::ROOTS), Some(Interrupt::DeadlineExceeded { .. })));

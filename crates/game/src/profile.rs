@@ -122,11 +122,6 @@ impl Profile {
         &self.data
     }
 
-    /// Mutable view of the full stacked vector.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Replaces the full stacked vector.
     ///
     /// # Panics

@@ -17,10 +17,7 @@
 //! * [`distributions`] — Gaussian (with an `erf` implementation), exponential
 //!   and discretized distributions; the dynamic-population scenario builds on
 //!   the discretized Gaussian.
-//! * [`fixed_point`] — damped fixed-point iteration with convergence
-//!   diagnostics, the engine behind best-response dynamics.
 //! * [`stats`] — streaming statistics for the Monte-Carlo simulator.
-//! * [`sequence`] — convergence detection shared by iterative solvers.
 //!
 //! # Example
 //!
@@ -48,25 +45,16 @@
 pub mod diff;
 pub mod distributions;
 pub mod error;
-pub mod fixed_point;
 pub mod optimize;
 pub mod projection;
 pub mod quadrature;
 pub mod roots;
-pub mod sequence;
 pub mod stats;
 pub mod supervision;
 pub(crate) mod telemetry;
 pub mod vi;
 
 pub use error::NumericsError;
-
-/// Default absolute tolerance used across the workspace when callers do not
-/// have a better problem-specific choice.
-pub const DEFAULT_TOL: f64 = 1e-10;
-
-/// Default iteration cap for scalar iterative methods.
-pub const DEFAULT_MAX_ITER: usize = 200;
 
 /// Returns `true` if `a` and `b` are equal within `abs_tol` or within
 /// `rel_tol` relative to their magnitudes.

@@ -108,7 +108,7 @@ mod tests {
         // No plan installed by this test binary's serial path; checkpoint
         // must be a no-op.
         if !mbm_faults::active() {
-            assert!(checkpoint(sites::FIXED_POINT, 0, 10, 1.0).is_ok());
+            assert!(checkpoint(sites::VI_EXTRAGRADIENT, 0, 10, 1.0).is_ok());
         }
     }
 }

@@ -112,7 +112,7 @@ impl Server {
         // authoritative resolution as `experiments --check`, so
         // MBM_PAR_THREADS governs both. Recorded as a gauge so the health
         // snapshot states the count it serves under.
-        let exec = ExecConfig { threads: cfg.workers, ..ExecConfig::accelerated() };
+        let exec = ExecConfig { threads: cfg.workers, ..ExecConfig::default() };
         let workers = exec.effective_threads();
         mbm_obs::global().gauge("serve.workers", workers as u64);
         let metrics = Arc::new(ServeMetrics::new());

@@ -149,12 +149,6 @@ impl WorkerPool {
         self.shared.metrics.in_flight.load(Ordering::Relaxed) as usize
     }
 
-    /// The pool's shutdown token (cancels in-flight solves when fired).
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shared.cancel.clone()
-    }
-
     /// Admits `job` to the queue, or refuses it without blocking.
     ///
     /// # Errors

@@ -3,8 +3,8 @@
 //! price equilibrium, and one K = 3 leader solve and dynamics run, checked
 //! against `tests/golden/leader_reference.json`.
 //!
-//! Any change to the leader search, the payoff arithmetic, the payoff
-//! cache or the traced algorithms that moves a single bit fails here with
+//! Any change to the leader search, the payoff arithmetic or the traced
+//! algorithms that moves a single bit fails here with
 //! the first differing line. Regenerate deliberately with
 //! `MBM_UPDATE_GOLDEN=1 cargo test --test leader_golden` and commit the
 //! diff.
@@ -21,8 +21,8 @@ use mbm_core::params::{MarketParams, Provider};
 use mbm_core::sp::mixed::{mixed_price_equilibrium, MixedPricingConfig};
 use mbm_core::sp::MinerPopulation;
 use mbm_core::stackelberg::{
-    solve_connected, solve_oligopoly, solve_standalone, ExecConfig, LeaderSchedule,
-    OligopolySolution, StackelbergConfig, StackelbergSolution,
+    solve_connected, solve_oligopoly, solve_standalone, LeaderSchedule, OligopolySolution,
+    StackelbergConfig, StackelbergSolution,
 };
 use mbm_core::subgame::{MinerEquilibrium, SubgameConfig};
 use mbm_core::MiningGameError;
@@ -133,16 +133,12 @@ fn population() -> MinerPopulation {
     MinerPopulation::Homogeneous { budget: 200.0, n: 5 }
 }
 
-fn exec(cache_capacity: usize) -> ExecConfig {
-    ExecConfig { threads: 1, cache_capacity, telemetry: false }
-}
-
 /// Every golden case, in file order.
 fn cases() -> Vec<(String, Case)> {
     let p = ne_market();
     let mut out = Vec::new();
 
-    // Two-provider solves: mode × population × schedule × cache, except
+    // Two-provider solves: mode × population × schedule, except
     // standalone heterogeneous bargaining (nine GNEP-backed leader rounds,
     // about 9 s in a debug build).
     let homogeneous = vec![200.0; 5];
@@ -174,15 +170,14 @@ fn cases() -> Vec<(String, Case)> {
                 {
                     continue;
                 }
-                for (capacity, cache_name) in [(0, "uncached"), (1 << 12, "cached")] {
-                    let cfg = StackelbergConfig { schedule, exec: exec(capacity), ..base };
-                    let sol = match mode {
-                        Mode::Connected => solve_connected(&p, budgets, &cfg),
-                        Mode::Standalone => solve_standalone(&p, budgets, &cfg),
-                    };
-                    let name = format!("solve/{mode_name}/{pop_name}/{schedule_name}/{cache_name}");
-                    out.push((name, Case::default().solution(sol)));
-                }
+                let cfg = StackelbergConfig { schedule, ..base };
+                let sol = match mode {
+                    Mode::Connected => solve_connected(&p, budgets, &cfg),
+                    Mode::Standalone => solve_standalone(&p, budgets, &cfg),
+                };
+                // The `/uncached` suffix keeps the golden's keys stable.
+                let name = format!("solve/{mode_name}/{pop_name}/{schedule_name}/uncached");
+                out.push((name, Case::default().solution(sol)));
             }
         }
     }

@@ -1,8 +1,7 @@
-//! Integration properties of the execution layer: the parallel substrate and
-//! the payoff memo cache must never change *what* the pipeline computes —
-//! only how fast. Randomized markets are solved serial vs multi-threaded
-//! (bitwise equality) and cached vs differently-cached (capacity/thread
-//! invariance); PoW grinds are cross-checked chunked vs linear.
+//! Integration properties of the execution layer: the parallel substrate
+//! must never change *what* the pipeline computes — only how fast.
+//! Randomized markets are solved serial vs multi-threaded (bitwise
+//! equality); PoW grinds are cross-checked chunked vs linear.
 
 use proptest::prelude::*;
 
@@ -34,7 +33,7 @@ proptest! {
     // Each case is several full Stackelberg solves; keep the count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Thread-count invariance, cache off: the parallel candidate evaluator
+    /// Thread-count invariance: the parallel candidate evaluator
     /// reproduces the serial pipeline bit for bit on arbitrary markets.
     #[test]
     fn full_solve_is_thread_count_invariant(
@@ -49,38 +48,10 @@ proptest! {
         let serial = StackelbergConfig::default();
         let reference = solve_connected(&params, &budgets, &serial).ok();
         for threads in [2usize, 4] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: 0, telemetry: false },
-                ..serial
-            };
+            let cfg =
+                StackelbergConfig { exec: ExecConfig { threads, telemetry: false }, ..serial };
             let got = solve_connected(&params, &budgets, &cfg).ok();
             prop_assert_eq!(&got, &reference, "threads = {}", threads);
-        }
-    }
-
-    /// Cache invariance: with memoization on, the solution is a pure
-    /// function of the quantized market — capacity (eviction pressure) and
-    /// thread count must not move a single bit.
-    #[test]
-    fn cached_solve_is_capacity_and_thread_invariant(
-        c_e in 8.0f64..12.0,
-        beta in 0.1f64..0.4,
-        b0 in 60.0f64..140.0,
-    ) {
-        let params = market(c_e, beta, 0.8);
-        let budgets = [b0, b0 + 40.0, b0 + 90.0];
-        let base = StackelbergConfig {
-            exec: ExecConfig { threads: 1, cache_capacity: 1, telemetry: false },
-            ..StackelbergConfig::default()
-        };
-        let reference = solve_connected(&params, &budgets, &base).ok();
-        for (threads, capacity) in [(1usize, 1usize << 16), (4, 1), (4, 1 << 16)] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
-                ..base
-            };
-            let got = solve_connected(&params, &budgets, &cfg).ok();
-            prop_assert_eq!(&got, &reference, "threads = {}, capacity = {}", threads, capacity);
         }
     }
 }
@@ -88,10 +59,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A K = 3 oligopoly solve is a pure function of the market: thread
-    /// count and cache capacity must not move a single bit.
+    /// A K = 3 oligopoly solve is a pure function of the market: the thread
+    /// count must not move a single bit.
     #[test]
-    fn k3_oligopoly_solve_is_thread_and_cache_invariant(
+    fn k3_oligopoly_solve_is_thread_count_invariant(
         c_e in 8.0f64..12.0,
         beta in 0.1f64..0.4,
         b0 in 60.0f64..140.0,
@@ -106,23 +77,14 @@ proptest! {
         ])
         .unwrap();
         let base = StackelbergConfig {
-            exec: ExecConfig { threads: 1, cache_capacity: 0, telemetry: false },
+            exec: ExecConfig { threads: 1, telemetry: false },
             ..StackelbergConfig::default()
         };
         let reference = solve_oligopoly(&params, &set, &budgets, Mode::Connected, &base).ok();
-        for (threads, capacity) in [(2usize, 0usize), (8, 0), (1, 512), (8, 512)] {
-            let cfg = StackelbergConfig {
-                exec: ExecConfig { threads, cache_capacity: capacity, telemetry: false },
-                ..base
-            };
+        for threads in [2usize, 8] {
+            let cfg = StackelbergConfig { exec: ExecConfig { threads, telemetry: false }, ..base };
             let got = solve_oligopoly(&params, &set, &budgets, Mode::Connected, &cfg).ok();
-            prop_assert_eq!(
-                format!("{got:?}"),
-                format!("{reference:?}"),
-                "threads = {}, capacity = {}",
-                threads,
-                capacity
-            );
+            prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"), "threads = {}", threads);
         }
     }
 }

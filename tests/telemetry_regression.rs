@@ -2,16 +2,15 @@
 //! the checked-in golden file byte for byte.
 //!
 //! The reference workload is one connected-mode Stackelberg solve —
-//! heterogeneous budgets, memo cache on, **one worker thread** — followed by
+//! heterogeneous budgets, **one worker thread** — followed by
 //! a K = 3 oligopoly leader solve (`core.solver.oligopoly.*`) and a tiny
 //! planned oligopoly task batch through the experiment engine (`exp.plan.*`
 //! / `exp.exec.*`), all with the global recorder enabled. The counters and
-//! gauges (solver calls, iteration totals, grid evaluations, cache
-//! hits/misses, leader rounds) are exact functions of the workload at a
-//! fixed thread count, so any drift is a real behavioural change in a
-//! solver: more Brent iterations, a different best-response path, a cache
-//! that stopped hitting. The gate turns that drift into a readable JSON
-//! diff instead of a silent perf loss.
+//! gauges (solver calls, iteration totals, grid evaluations, leader rounds)
+//! are exact functions of the workload at a fixed thread count, so any drift
+//! is a real behavioural change in a solver: more Brent iterations, a
+//! different best-response path. The gate turns that drift into a readable
+//! JSON diff instead of a silent perf loss.
 //!
 //! Knobs (used by `.github/workflows/ci.yml`):
 //!
@@ -59,7 +58,7 @@ fn reference_pipeline_telemetry_matches_golden() {
     rec.reset();
     rec.set_enabled(true);
     let cfg = StackelbergConfig {
-        exec: ExecConfig { threads: 1, cache_capacity: 1 << 16, telemetry: true },
+        exec: ExecConfig { threads: 1, telemetry: true },
         ..StackelbergConfig::default()
     };
     let params = reference_market();
@@ -128,7 +127,6 @@ fn reference_pipeline_telemetry_matches_golden() {
         "solver instrumentation produced no numerics counters: {:?}",
         snapshot.counters.keys().collect::<Vec<_>>()
     );
-    assert!(snapshot.counters.contains_key("core.cache.hits"), "cache stats missing");
     assert!(
         snapshot.counters.contains_key("core.solver.oligopoly.solves"),
         "oligopoly solver counters missing"

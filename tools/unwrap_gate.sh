@@ -38,13 +38,11 @@ FILES=(
   crates/core/src/stackelberg.rs
   crates/core/src/scenario.rs
   crates/core/src/algorithms.rs
-  crates/core/src/sp/cache.rs
   crates/core/src/sp/mixed.rs
   crates/core/src/sp/stage.rs
   crates/store/src/lib.rs
   crates/numerics/src/vi.rs
   crates/numerics/src/roots.rs
-  crates/numerics/src/fixed_point.rs
   crates/numerics/src/supervision.rs
   crates/numerics/src/projection.rs
   crates/numerics/src/quadrature.rs
